@@ -13,8 +13,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.bootstrap import bootstrap_mean_ci
-from repro.bandits import POLICY_NAMES, OptPolicy, make_policy
-from repro.datasets.synthetic import SyntheticConfig, build_world
+from repro.bandits import POLICY_NAMES
+from repro.datasets.synthetic import SyntheticConfig
 from repro.exceptions import ConfigurationError
 from repro.io.checkpoint import (
     DEFAULT_CHECKPOINT_EVERY,
@@ -22,16 +22,12 @@ from repro.io.checkpoint import (
     ExecutorCheckpoint,
 )
 from repro.io.runstore import RunStore
-from repro.obs.core import current
 from repro.parallel import (
     ReplicationCell,
     UnitFailure,
-    resolve_jobs,
     run_replication_cell,
     run_work_units,
 )
-from repro.simulation.history import History
-from repro.simulation.runner import run_policy
 
 
 @dataclass
@@ -106,12 +102,13 @@ def replicate_policies(
     Each seed rebuilds the world (new theta/capacities/conflicts) *and*
     the run streams, so variation across seeds captures both sources.
 
-    ``jobs`` fans the per-seed cells out over a process pool
-    (``0`` = all CPUs).  Each cell plays the whole suite on one shared
-    stream via the fleet runner; common-random-number coupling makes
-    the cells independent, so the merged metrics are **identical** to
-    ``jobs=1`` — only wall clock changes.  RunStore logging always
-    happens in the parent process, in seed order.
+    Every seed is one :class:`~repro.parallel.ReplicationCell` playing
+    the whole suite on one shared stream; ``jobs`` fans the cells out
+    over a process pool (``0`` = all CPUs, ``1`` runs them inline).
+    Common-random-number coupling makes the cells independent, so the
+    merged metrics are **identical** for every ``jobs`` value — only
+    wall clock changes.  RunStore logging always happens in the parent
+    process, in seed order.
 
     ``timeout``/``retries``/``keep_going`` are the executor's fault-
     tolerance controls (see :func:`repro.parallel.run_work_units`);
@@ -130,102 +127,54 @@ def replicate_policies(
     result = ReplicationResult(config=config, seeds=seeds, horizon=horizon)
     result.accept_ratios = {name: [] for name in ("OPT", *policy_names)}
     result.total_regrets = {name: [] for name in policy_names}
-    # The flight recorder logs one record group per seed via the cell
-    # runner; take the cells path even serially so the record order
-    # (and thus decisions.jsonl) is byte-identical for every --jobs.
-    recording = getattr(current(), "flight_recorder", None) is not None
-    checkpointing = checkpoint_dir is not None
-    fault_tolerant = (
-        checkpointing or keep_going or retries > 0 or timeout is not None
+    executor_checkpoint: Optional[ExecutorCheckpoint] = None
+    if checkpoint_dir is not None:
+        executor_checkpoint = ExecutorCheckpoint(Path(checkpoint_dir), resume=resume)
+    cells = [
+        ReplicationCell(
+            config=config,
+            seed=seed,
+            horizon=horizon,
+            policy_names=tuple(policy_names),
+            policy_seed=policy_seed,
+            checkpoint=(
+                CellCheckpointSpec(
+                    directory=str(checkpoint_dir),
+                    key=f"seed-{seed}",
+                    every=checkpoint_every,
+                    resume=resume,
+                )
+                if checkpoint_dir is not None
+                else None
+            ),
+        )
+        for seed in seeds
+    ]
+    outcomes = run_work_units(
+        run_replication_cell,
+        cells,
+        jobs=jobs,
+        timeout=timeout,
+        retries=retries,
+        keep_going=keep_going,
+        checkpoint=executor_checkpoint,
     )
-    if resolve_jobs(jobs) > 1 or recording or fault_tolerant:
-        executor_checkpoint: Optional[ExecutorCheckpoint] = None
-        if checkpointing:
-            executor_checkpoint = ExecutorCheckpoint(
-                Path(checkpoint_dir), resume=resume
-            )
-        cells = [
-            ReplicationCell(
-                config=config,
-                seed=seed,
-                horizon=horizon,
-                policy_names=tuple(policy_names),
-                policy_seed=policy_seed,
-                checkpoint=(
-                    CellCheckpointSpec(
-                        directory=str(checkpoint_dir),
-                        key=f"seed-{seed}",
-                        every=checkpoint_every,
-                        resume=resume,
-                    )
-                    if checkpointing
-                    else None
-                ),
-            )
-            for seed in seeds
-        ]
-        outcomes = run_work_units(
-            run_replication_cell,
-            cells,
-            jobs=jobs,
-            timeout=timeout,
-            retries=retries,
-            keep_going=keep_going,
-            checkpoint=executor_checkpoint,
-        )
-        for seed, outcome in zip(seeds, outcomes):
-            if isinstance(outcome, UnitFailure):
-                result.failures[seed] = outcome
-                continue
-            _merge_seed(result, outcome, policy_names, store, experiment, seed)
-        return result
-    for seed in seeds:
-        world = build_world(config.with_overrides(seed=seed))
-        opt_history = run_policy(
-            OptPolicy(world.theta), world, horizon=horizon, run_seed=seed
-        )
+    for seed, histories in zip(seeds, outcomes):
+        if isinstance(histories, UnitFailure):
+            result.failures[seed] = histories
+            continue
+        opt_history = histories["OPT"]
         result.accept_ratios["OPT"].append(opt_history.overall_accept_ratio)
         if store is not None:
             store.record_history(experiment, opt_history, seed=seed, run_seed=seed)
         for name in policy_names:
-            policy = make_policy(name, dim=config.dim, seed=policy_seed)
-            history = run_policy(policy, world, horizon=horizon, run_seed=seed)
+            history = histories[name]
             result.accept_ratios[name].append(history.overall_accept_ratio)
             result.total_regrets[name].append(
                 opt_history.total_reward - history.total_reward
             )
             if store is not None:
                 store.record_history(
-                    experiment,
-                    history,
-                    seed=seed,
-                    run_seed=seed,
-                    reference=opt_history,
+                    experiment, history, seed=seed, run_seed=seed, reference=opt_history
                 )
     return result
-
-
-def _merge_seed(
-    result: ReplicationResult,
-    histories: Dict[str, History],
-    policy_names: Sequence[str],
-    store: Optional[RunStore],
-    experiment: str,
-    seed: int,
-) -> None:
-    """Fold one parallel cell's histories into ``result`` (seed order)."""
-    opt_history = histories["OPT"]
-    result.accept_ratios["OPT"].append(opt_history.overall_accept_ratio)
-    if store is not None:
-        store.record_history(experiment, opt_history, seed=seed, run_seed=seed)
-    for name in policy_names:
-        history = histories[name]
-        result.accept_ratios[name].append(history.overall_accept_ratio)
-        result.total_regrets[name].append(
-            opt_history.total_reward - history.total_reward
-        )
-        if store is not None:
-            store.record_history(
-                experiment, history, seed=seed, run_seed=seed, reference=opt_history
-            )
-    return None

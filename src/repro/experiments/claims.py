@@ -13,14 +13,14 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from repro.bandits import OptPolicy, make_policy
+from repro.bandits import POLICY_NAMES, make_policy
 from repro.datasets.damai import load_damai
 from repro.datasets.synthetic import SyntheticConfig, build_world
 from repro.mab import BetaThompsonSampling, Ucb1, run_mab
 from repro.mab.arms import random_arms
 from repro.metrics.resources import time_policy_rounds
+from repro.simulation.fleet import policy_suite, run_policy_fleet
 from repro.simulation.realdata import run_real_policy
-from repro.simulation.runner import run_policy
 
 
 @dataclass(frozen=True)
@@ -39,11 +39,7 @@ def _default_runs(horizon: int, seed: int):
         horizon=horizon
     )
     world = build_world(config)
-    runs = {"OPT": run_policy(OptPolicy(world.theta), world, run_seed=seed)}
-    for name in ("UCB", "TS", "eGreedy", "Exploit", "Random"):
-        policy = make_policy(name, dim=config.dim, seed=7)
-        runs[name] = run_policy(policy, world, run_seed=seed)
-    return runs
+    return run_policy_fleet(policy_suite(world, POLICY_NAMES, 7), world, run_seed=seed)
 
 
 def check_ucb_exploit_best(horizon: int = 3000, seed: int = 42) -> Tuple[bool, str]:
@@ -142,9 +138,8 @@ def check_ts_recovers_at_d1(horizon: int = 2500, seed: int = 5) -> Tuple[bool, s
         horizon=horizon, dim=1
     )
     world = build_world(config)
-    opt = run_policy(OptPolicy(world.theta), world, run_seed=0)
-    ts = run_policy(make_policy("TS", dim=1, seed=7), world, run_seed=0)
-    ratio = ts.total_reward / max(opt.total_reward, 1.0)
+    runs = run_policy_fleet(policy_suite(world, ["TS"], 7), world, run_seed=0)
+    ratio = runs["TS"].total_reward / max(runs["OPT"].total_reward, 1.0)
     return ratio > 0.8, f"TS collects {ratio:.0%} of OPT's reward at d=1"
 
 

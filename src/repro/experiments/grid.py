@@ -9,26 +9,16 @@ for a :class:`~repro.io.runstore.RunStore`, CSV, or ad-hoc analysis).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bandits import POLICY_NAMES, OptPolicy, make_policy
-from repro.datasets.synthetic import SyntheticConfig, build_world
+from repro.bandits import POLICY_NAMES
+from repro.datasets.synthetic import SyntheticConfig
 from repro.exceptions import ConfigurationError
-from repro.parallel import GridCell, resolve_jobs, run_grid_cell, run_work_units
-from repro.simulation.runner import run_policy
+from repro.parallel import GridCell, GridCellResult, run_grid_cell, run_work_units
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    """One grid cell: the overrides applied and the per-policy outcomes."""
-
-    overrides: Tuple[Tuple[str, object], ...]
-    accept_ratios: Dict[str, float]
-    total_regrets: Dict[str, float]
-
-    def override_dict(self) -> Dict[str, object]:
-        return dict(self.overrides)
+#: One grid cell's overrides and per-policy outcomes (the cell result).
+SweepCell = GridCellResult
 
 
 def expand_grid(axes: Dict[str, Sequence[object]]) -> List[Dict[str, object]]:
@@ -63,64 +53,28 @@ def sweep(
     Each cell shares the run seed, so differences between cells reflect
     the swept parameters plus world regeneration, not stream luck.
 
-    ``jobs`` fans the grid cells out over a process pool (``0`` = all
-    CPUs); cells are independent, results come back in grid order, and
-    the metrics are identical to the serial run.
+    Every combination is one :class:`~repro.parallel.GridCell`;
+    ``jobs`` fans the cells out over a process pool (``0`` = all CPUs,
+    ``1`` runs them inline).  Cells are independent, results come back
+    in grid order, and the metrics are identical for every ``jobs``
+    value.  An ambient executor checkpoint caches finished cells, so a
+    resumed ``fasea run --checkpoint`` replays them.
     """
-    from repro.io.checkpoint import active_executor_checkpoint
-
-    cells: List[SweepCell] = []
     horizon_default = horizon if horizon is not None else base.horizon
-    # The cell path is bit-identical to the inline loop (asserted by
-    # tests/test_parallel.py), so an ambient executor checkpoint also
-    # routes a serial sweep through it: completed cells land in the
-    # unit cache and a resumed `fasea run --checkpoint` replays them.
-    if resolve_jobs(jobs) > 1 or active_executor_checkpoint() is not None:
-        work = []
-        for overrides in expand_grid(axes):
-            config = base.with_overrides(**overrides)
-            work.append(
-                GridCell(
-                    config=config,
-                    overrides=tuple(sorted(overrides.items())),
-                    horizon=min(horizon_default, config.horizon),
-                    policy_names=tuple(policy_names),
-                    run_seed=run_seed,
-                    policy_seed=policy_seed,
-                )
-            )
-        return [
-            SweepCell(
-                overrides=outcome.overrides,
-                accept_ratios=outcome.accept_ratios,
-                total_regrets=outcome.total_regrets,
-            )
-            for outcome in run_work_units(run_grid_cell, work, jobs=jobs)
-        ]
+    work = []
     for overrides in expand_grid(axes):
         config = base.with_overrides(**overrides)
-        world = build_world(config)
-        cell_horizon = min(horizon_default, config.horizon)
-        opt_history = run_policy(
-            OptPolicy(world.theta), world, horizon=cell_horizon, run_seed=run_seed
-        )
-        accept = {"OPT": opt_history.overall_accept_ratio}
-        regrets: Dict[str, float] = {}
-        for name in policy_names:
-            policy = make_policy(name, dim=config.dim, seed=policy_seed)
-            history = run_policy(
-                policy, world, horizon=cell_horizon, run_seed=run_seed
-            )
-            accept[name] = history.overall_accept_ratio
-            regrets[name] = opt_history.total_reward - history.total_reward
-        cells.append(
-            SweepCell(
+        work.append(
+            GridCell(
+                config=config,
                 overrides=tuple(sorted(overrides.items())),
-                accept_ratios=accept,
-                total_regrets=regrets,
+                horizon=min(horizon_default, config.horizon),
+                policy_names=tuple(policy_names),
+                run_seed=run_seed,
+                policy_seed=policy_seed,
             )
         )
-    return cells
+    return run_work_units(run_grid_cell, work, jobs=jobs)
 
 
 def best_policy_per_cell(cells: Sequence[SweepCell]) -> Dict[Tuple, str]:

@@ -82,8 +82,10 @@ __all__ = [
     "write_manifest",
 ]
 
-#: Bumped when the cell-checkpoint npz layout changes incompatibly.
-CHECKPOINT_SCHEMA_VERSION = 1
+#: Bumped when the cell-checkpoint npz layout changes incompatibly
+#: (2: every run is a fleet — per-key ``p.``/``plat.``/``rewards.``/
+#: ``elapsed.`` entries around one shared ``stream.`` block).
+CHECKPOINT_SCHEMA_VERSION = 2
 #: Bumped when the pickled unit-cache layout changes incompatibly.
 UNIT_CACHE_SCHEMA_VERSION = 1
 #: The checkpoint directory's identity document.

@@ -34,7 +34,7 @@ from repro.obs.flight import (
     cell_record,
     record_line,
 )
-from repro.simulation.fleet import run_policy_fleet
+from repro.simulation.fleet import policy_suite, run_policy_fleet
 from repro.simulation.runner import run_policy
 
 #: Constructor keywords forwarded from a header policy spec to
@@ -188,15 +188,10 @@ def _replay_replication(
     groups: List[GroupReplay] = []
     for seed, logged in log.cells():
         world = build_world(config.with_overrides(seed=seed))
-        policies: Dict[str, Policy] = {"OPT": OptPolicy(world.theta)}
-        for name in policy_names:
-            policies[name] = make_policy(
-                name, dim=config.dim, seed=policy_seed
-            )
         buffer = FlightBuffer()
         buffer.record(cell_record(seed))
         run_policy_fleet(
-            policies,
+            policy_suite(world, policy_names, policy_seed),
             world,
             horizon=horizon,
             run_seed=seed,

@@ -25,12 +25,9 @@ from repro.datasets.synthetic import SyntheticConfig, build_world
 from repro.io.checkpoint import CellCheckpointSpec
 from repro.obs.core import current
 from repro.obs.flight import cell_record
-from repro.simulation.fleet import run_policy_fleet
+from repro.simulation.fleet import OPT_KEY, policy_suite, run_policy_fleet
 from repro.simulation.history import History
 from repro.simulation.runner import run_policy
-
-#: Reserved fleet key for the full-knowledge reference policy.
-OPT_KEY = "OPT"
 
 
 @dataclass(frozen=True)
@@ -52,23 +49,17 @@ class ReplicationCell:
 def run_replication_cell(cell: ReplicationCell) -> Dict[str, History]:
     """Play OPT and every policy of one replication seed; key by name.
 
-    The world is rebuilt from ``config`` with the cell's seed and every
-    run uses ``run_seed = seed`` — exactly as the serial
-    :func:`~repro.analysis.replication.replicate_policies` loop does.
+    The world is rebuilt from ``config`` with the cell's seed and the
+    suite runs on ``run_seed = seed``.
     """
     world = build_world(cell.config.with_overrides(seed=cell.seed))
-    policies = {OPT_KEY: OptPolicy(world.theta)}
-    for name in cell.policy_names:
-        policies[name] = make_policy(
-            name, dim=cell.config.dim, seed=cell.policy_seed
-        )
     flight = getattr(current(), "flight_recorder", None)
     if flight is not None:
         # Group this seed's decisions behind a cell marker so the log
         # stays parseable per seed after the submission-order merge.
         flight.record(cell_record(cell.seed))
     return run_policy_fleet(
-        policies,
+        policy_suite(world, cell.policy_names, cell.policy_seed),
         world,
         horizon=cell.horizon,
         run_seed=cell.seed,
@@ -96,7 +87,7 @@ class PolicyRunCell:
 
 
 def run_policy_run_cell(cell: PolicyRunCell) -> History:
-    """Play one policy against the cell's world via the round runner."""
+    """Play one policy against the cell's world (a fleet of one)."""
     world = build_world(cell.config)
     policy: Policy
     if cell.policy_name == OPT_KEY:
@@ -128,23 +119,24 @@ class GridCell:
 
 @dataclass(frozen=True)
 class GridCellResult:
-    """Scalar outcomes of one grid cell, ready for merging."""
+    """One grid cell: the overrides applied and the per-policy outcomes."""
 
     overrides: Tuple[Tuple[str, object], ...]
     accept_ratios: Dict[str, float]
     total_regrets: Dict[str, float]
 
+    def override_dict(self) -> Dict[str, object]:
+        return dict(self.overrides)
+
 
 def run_grid_cell(cell: GridCell) -> GridCellResult:
-    """Run the policy suite on one grid cell via the fleet runner."""
+    """Run the policy suite on one grid cell in one fleet."""
     world = build_world(cell.config)
-    policies = {OPT_KEY: OptPolicy(world.theta)}
-    for name in cell.policy_names:
-        policies[name] = make_policy(
-            name, dim=cell.config.dim, seed=cell.policy_seed
-        )
     histories = run_policy_fleet(
-        policies, world, horizon=cell.horizon, run_seed=cell.run_seed
+        policy_suite(world, cell.policy_names, cell.policy_seed),
+        world,
+        horizon=cell.horizon,
+        run_seed=cell.run_seed,
     )
     opt_history = histories[OPT_KEY]
     accept = {OPT_KEY: opt_history.overall_accept_ratio}

@@ -1,12 +1,17 @@
-"""Simulation engine: environments, the round runner, and histories.
+"""Simulation engine: environments, the round engine, and histories.
 
 * :class:`~repro.simulation.environment.FaseaEnvironment` — the full
-  FASEA setting (capacities, conflicts, multi-event arrangements).
+  FASEA setting (capacities, conflicts, multi-event arrangements),
+  drawing its inputs from a
+  :class:`~repro.simulation.environment.RoundStream`.
 * :mod:`~repro.simulation.basic` — the basic contextual bandit setting
   of Section 5.2's final experiments (no capacities/conflicts, one
   event per round).
-* :func:`~repro.simulation.runner.run_policy` — plays one policy for
-  ``T`` rounds and returns a :class:`~repro.simulation.history.History`.
+* :mod:`~repro.simulation.fleet` — the one round engine: steps a dict
+  of policies over one shared stream
+  (:func:`~repro.simulation.fleet.run_policy_fleet`).
+  :func:`~repro.simulation.runner.run_policy` is its fleet of one and
+  returns a single :class:`~repro.simulation.history.History`.
 * :mod:`~repro.simulation.realdata` — the Damai replay loop (same user
   and contexts every round, deterministic feedback).
 """

@@ -7,16 +7,16 @@ event ``v`` is accepted with probability ``clip(x_{t,v}^T theta, 0, 1)``.
 
 Common random numbers: the per-round draws happen in a fixed order
 (user capacity, context matrix, one acceptance threshold per event)
-from dedicated sub-generators, so two runs with the same world and
-``run_seed`` present *identical* users, contexts and latent coin flips
-to different policies.  An event is accepted iff its pre-drawn
-threshold falls below its acceptance probability, which depends only on
-the context — not on which policy asked.
+from the dedicated sub-generators of a :class:`RoundStream`, so two
+runs with the same world and ``run_seed`` present *identical* users,
+contexts and latent coin flips to different policies.  An event is
+accepted iff its pre-drawn threshold falls below its acceptance
+probability, which depends only on the context — not on which policy
+asked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,6 +25,7 @@ from repro.bandits.base import RoundView
 from repro.datasets.synthetic import SyntheticWorld
 from repro.ebsn.ledger import LedgerEntry
 from repro.ebsn.platform import Platform
+from repro.ebsn.users import User
 from repro.exceptions import ConfigurationError
 from repro.linalg.sampling import capture_rng_state, restore_rng_state
 from repro.obs.core import InstrumentationLike, current
@@ -34,6 +35,65 @@ ENV_ROUNDS_METRIC = "env.rounds"
 ENV_COMMITS_METRIC = "env.commits"
 ENV_ARRANGED_EVENTS_METRIC = "env.arranged_events"
 ENV_ACCEPTED_EVENTS_METRIC = "env.accepted_events"
+
+
+class RoundStream:
+    """The random inputs of one run: who arrives, what they see, their coins.
+
+    Built from ``(world, run_seed)`` alone, so every consumer of one
+    seed — :class:`FaseaEnvironment`, the fleet engine, the trace
+    recorder — sees the same users, contexts and acceptance thresholds.
+    Each :meth:`draw` consumes one round, always in the same order.
+    """
+
+    def __init__(self, world: SyntheticWorld, run_seed: int = 0) -> None:
+        root = np.random.SeedSequence(entropy=run_seed, spawn_key=(world.config.seed,))
+        arrival_seq, context_seq, feedback_seq = root.spawn(3)
+        self.arrivals = world.make_arrivals(np.random.default_rng(arrival_seq))
+        self.context_rng = np.random.default_rng(context_seq)
+        self.feedback_rng = np.random.default_rng(feedback_seq)
+        self.sampler = world.make_context_sampler()
+        self.num_events = len(world.capacities)
+
+    def draw(self) -> Tuple[User, np.ndarray, np.ndarray]:
+        """The next round's user, context matrix and acceptance thresholds."""
+        user = self.arrivals.next_user()
+        contexts = self.sampler.sample(self.context_rng)
+        thresholds = self.feedback_rng.uniform(size=self.num_events)
+        return user, contexts, thresholds
+
+    def state_dict(self) -> Dict[str, object]:
+        """Exact positions of the three streams (arrival bookkeeping included)."""
+        arrivals_state = getattr(self.arrivals, "state_dict", None)
+        if arrivals_state is None:
+            raise ConfigurationError(
+                f"{type(self.arrivals).__name__} does not support "
+                "checkpointing (no state_dict)"
+            )
+        state: Dict[str, object] = {
+            f"arrivals_{key}": value for key, value in arrivals_state().items()
+        }
+        state["context_rng"] = capture_rng_state(self.context_rng)
+        state["feedback_rng"] = capture_rng_state(self.feedback_rng)
+        return state
+
+    def restore_state(self, state: Mapping[str, object]) -> None:
+        """Restore a :meth:`state_dict` snapshot (other keys are ignored)."""
+        restore = getattr(self.arrivals, "restore_state", None)
+        if restore is None:
+            raise ConfigurationError(
+                f"{type(self.arrivals).__name__} does not support "
+                "checkpointing (no restore_state)"
+            )
+        restore(
+            {
+                key[len("arrivals_") :]: value
+                for key, value in state.items()
+                if key.startswith("arrivals_")
+            }
+        )
+        restore_rng_state(self.context_rng, state["context_rng"])  # type: ignore[arg-type]
+        restore_rng_state(self.feedback_rng, state["feedback_rng"])  # type: ignore[arg-type]
 
 
 class FaseaEnvironment:
@@ -54,12 +114,7 @@ class FaseaEnvironment:
         self.world = world
         self.platform = Platform(world.make_store(), world.conflicts)
         self._obs = obs if obs is not None else current()
-        root = np.random.SeedSequence(entropy=run_seed, spawn_key=(world.config.seed,))
-        arrival_seq, context_seq, feedback_seq = root.spawn(3)
-        self._arrivals = world.make_arrivals(np.random.default_rng(arrival_seq))
-        self._context_rng = np.random.default_rng(context_seq)
-        self._feedback_rng = np.random.default_rng(feedback_seq)
-        self._sampler = world.make_context_sampler()
+        self.stream = RoundStream(world, run_seed=run_seed)
         self._pending: Optional[Tuple[RoundView, np.ndarray]] = None
 
     @property
@@ -85,38 +140,14 @@ class FaseaEnvironment:
             raise ConfigurationError(
                 "cannot checkpoint mid-round (begin_round without commit)"
             )
-        arrivals_state = getattr(self._arrivals, "state_dict", None)
-        if arrivals_state is None:
-            raise ConfigurationError(
-                f"{type(self._arrivals).__name__} does not support "
-                "checkpointing (no state_dict)"
-            )
-        state: Dict[str, object] = {
-            f"arrivals_{key}": value for key, value in arrivals_state().items()
-        }
-        state["context_rng"] = capture_rng_state(self._context_rng)
-        state["feedback_rng"] = capture_rng_state(self._feedback_rng)
+        state = self.stream.state_dict()
         for key, value in self.platform.state_dict().items():
             state[f"platform_{key}"] = value
         return state
 
     def restore_state(self, state: Mapping[str, object]) -> None:
         """Restore a :meth:`state_dict` snapshot (bit-exact positions)."""
-        restore = getattr(self._arrivals, "restore_state", None)
-        if restore is None:
-            raise ConfigurationError(
-                f"{type(self._arrivals).__name__} does not support "
-                "checkpointing (no restore_state)"
-            )
-        restore(
-            {
-                key[len("arrivals_") :]: value
-                for key, value in state.items()
-                if key.startswith("arrivals_")
-            }
-        )
-        restore_rng_state(self._context_rng, state["context_rng"])  # type: ignore[arg-type]
-        restore_rng_state(self._feedback_rng, state["feedback_rng"])  # type: ignore[arg-type]
+        self.stream.restore_state(state)
         self.platform.restore_state(
             {
                 key[len("platform_") :]: value
@@ -134,9 +165,7 @@ class FaseaEnvironment:
             )
         if self._obs.enabled:
             self._obs.counter(ENV_ROUNDS_METRIC).inc()
-        user = self._arrivals.next_user()
-        contexts = self._sampler.sample(self._context_rng)
-        thresholds = self._feedback_rng.uniform(size=self.num_events)
+        user, contexts, thresholds = self.stream.draw()
         view = RoundView(
             time_step=self.platform.time_step + 1,
             user=user,
@@ -154,7 +183,7 @@ class FaseaEnvironment:
         over the arranged ids and handed to the platform as a
         precomputed lookup instead of a per-event Python lambda.  (The
         probabilities themselves are computed with the same full
-        ``|V| x d`` matvec as the fleet runner, keeping the two paths
+        ``|V| x d`` matvec as the round engine, keeping the two paths
         bit-for-bit interchangeable.)
         """
         if self._pending is None:

@@ -1,41 +1,430 @@
-"""Fleet runner: many policies, one shared input stream.
+"""The round engine: a dict of policies stepped over one shared stream.
 
-``run_policy`` replays the environment streams once *per policy*;
-context generation (|V| x d Gaussians per round) then dominates the
-wall clock of every multi-policy experiment.  The fleet runner draws
-each round's user, context matrix and acceptance thresholds **once**
-and steps every policy against them in lockstep, each with its own
-platform (capacities evolve per policy, as they must).
+Every synthetic FASEA run — one policy or a whole suite — goes through
+:func:`_run_rounds`, the standard loop of Algorithms 1/3/4 (reveal,
+select, commit, observe).  Each round's user, context matrix and
+acceptance thresholds are drawn **once** from a
+:class:`~repro.simulation.environment.RoundStream` and every policy
+steps against them in lockstep, each with its own platform (capacities
+evolve per policy, as they must).  The draws are the ones
+:class:`~repro.simulation.environment.FaseaEnvironment` makes, so a
+fleet run is bit-for-bit identical to running each policy alone with
+the same ``(world, run_seed)``.
 
-The streams are constructed exactly as
-:class:`~repro.simulation.environment.FaseaEnvironment` constructs
-them, so a fleet run is *bit-for-bit identical* to running each policy
-individually with the same ``(world, run_seed)`` —
-``tests/test_fleet.py`` asserts that equivalence.
+The engine owns everything that rides along the loop: select/observe
+timing (``History.avg_round_time``), Kendall tracking, the sampled-
+round profiler spans, per-round telemetry, flight recording, alert
+evaluation, streaming flushes and one round-granular checkpoint.  None
+of them touches an RNG stream, so results are bit-identical with any of
+them on or off.
+
+Two public entry points call it: :func:`run_policy_fleet` here and
+:func:`~repro.simulation.runner.run_policy`, a fleet of one.  Neither
+calls the other, so each keeps its own outer span.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.bandits import OptPolicy, make_policy
 from repro.bandits.base import Policy, RoundView
 from repro.datasets.synthetic import SyntheticWorld
+from repro.ebsn.events import EventStore
+from repro.ebsn.ledger import LedgerEntry
 from repro.ebsn.platform import Platform
 from repro.exceptions import ConfigurationError
-from repro.linalg.sampling import capture_rng_state, restore_rng_state
 from repro.metrics.kendall import kendall_tau
-from repro.obs.core import InstrumentationLike, MetricsSnapshot, current
+from repro.obs.core import NULL_OBS, InstrumentationLike, MetricsSnapshot, current
 from repro.obs.flight import decision_record
+from repro.obs.health import (
+    CAPACITY_EXHAUSTED_METRIC,
+    FILL_RATE_SERIES_METRIC,
+    REWARD_METRIC,
+    THETA_DRIFT_METRIC,
+)
 from repro.obs.profile import ProfileConfig
 from repro.obs.stream import StreamingSink
+from repro.simulation.environment import (
+    ENV_ACCEPTED_EVENTS_METRIC,
+    ENV_ARRANGED_EVENTS_METRIC,
+    ENV_COMMITS_METRIC,
+    ENV_ROUNDS_METRIC,
+    RoundStream,
+)
 from repro.simulation.history import History, default_checkpoints
-from repro.simulation.runner import open_run_checkpointer, record_policy_round
 
 if TYPE_CHECKING:  # import cycle: repro.io.__init__ reaches back here
     from repro.io.checkpoint import CellCheckpointSpec
+
+#: Per-policy emit-site metric names (FAS016: names are constants so
+#: alert selectors cannot silently miss a typo'd emit site).
+SELECT_SECONDS_METRIC = "select_seconds"
+OBSERVE_SECONDS_METRIC = "observe_seconds"
+ROUNDS_METRIC = "rounds"
+
+#: Reserved fleet key for the full-knowledge reference policy.
+OPT_KEY = "OPT"
+
+
+def policy_suite(
+    world: SyntheticWorld, policy_names: Sequence[str], policy_seed: int
+) -> Dict[str, Policy]:
+    """OPT plus one fresh ``make_policy`` instance per name, keyed for a fleet."""
+    suite: Dict[str, Policy] = {OPT_KEY: OptPolicy(world.theta)}
+    for name in policy_names:
+        suite[name] = make_policy(name, dim=world.config.dim, seed=policy_seed)
+    return suite
+
+def _record_policy_round(
+    obs: InstrumentationLike,
+    policy: Policy,
+    theta_true: np.ndarray,
+    store: EventStore,
+    entry: LedgerEntry,
+    time_step: int,
+    select_seconds: float,
+    observe_seconds: float,
+) -> None:
+    """Fold one policy's instrumented round into ``obs``.
+
+    Records per-policy select/observe timings, the per-round reward
+    series, the estimate drift ``||theta^ - theta||`` (policies without
+    a model skip it), and — the paper's Section 6.2 diagnostic — a
+    capacity-exhaustion event whenever an accepted registration drains
+    an event's last seat.  Never touches any RNG stream.
+    """
+    obs.timer(policy.obs_name(SELECT_SECONDS_METRIC)).observe(select_seconds)
+    obs.timer(policy.obs_name(OBSERVE_SECONDS_METRIC)).observe(observe_seconds)
+    reward = float(entry.reward)
+    obs.series(policy.obs_name(REWARD_METRIC)).append(time_step, reward)
+    drift: Optional[float] = None
+    estimate = policy.theta_estimate()
+    if estimate is not None:
+        drift = float(np.linalg.norm(estimate - theta_true))
+        obs.series(policy.obs_name(THETA_DRIFT_METRIC)).append(time_step, drift)
+    label = policy._obs_label or policy.name
+    monitor = getattr(obs, "health_monitor", None)
+    num_events = len(store)
+    for event_id in entry.accepted:
+        if store.remaining(event_id) <= 0.0:
+            obs.series(policy.obs_name(CAPACITY_EXHAUSTED_METRIC)).append(
+                time_step, float(event_id)
+            )
+            obs.event(
+                CAPACITY_EXHAUSTED_METRIC,
+                policy=label,
+                event_id=int(event_id),
+                time_step=time_step,
+            )
+            if monitor is not None:
+                monitor.observe_exhaustion(
+                    obs, label, time_step, int(event_id), num_events
+                )
+    if monitor is not None:
+        fill_rate: Optional[float] = None
+        fill_series = getattr(obs, "get_metric", None)
+        if fill_series is not None:
+            metric = obs.get_metric(policy.obs_name(FILL_RATE_SERIES_METRIC))
+            points = getattr(metric, "points", None)
+            if points and points[-1][0] == time_step:
+                fill_rate = float(points[-1][1])
+        monitor.observe_round(obs, label, time_step, reward, drift, fill_rate)
+
+
+def _open_checkpointer(
+    spec: "CellCheckpointSpec",
+    obs: InstrumentationLike,
+    recording: bool,
+    flight: Optional[object],
+) -> Any:
+    """Build a run's :class:`~repro.io.checkpoint.RunCheckpointer`.
+
+    Rejects the two attachments whose internal state a round checkpoint
+    cannot capture:
+
+    * an alert engine / health monitor (windowed detector state would
+      silently reset on resume, changing firings);
+    * a disk-backed flight recorder (the resumed process would append
+      to a log that already holds the pre-crash records; checkpointing
+      requires an in-memory buffer whose contents travel inside the
+      checkpoint and are replayed exactly — which is what the executor's
+      isolated-cell mode provides).
+    """
+    from repro.io.checkpoint import RunCheckpointer
+
+    if getattr(obs, "alert_engine", None) is not None:
+        raise ConfigurationError(
+            "round checkpointing cannot capture alert-engine window state; "
+            "run without --alerts/--health or without --checkpoint"
+        )
+    if getattr(obs, "health_monitor", None) is not None:
+        raise ConfigurationError(
+            "round checkpointing cannot capture health-monitor detector "
+            "state; run without --health or without --checkpoint"
+        )
+    if recording and not hasattr(flight, "records"):
+        raise ConfigurationError(
+            "round checkpointing requires an in-memory flight buffer "
+            f"(got {type(flight).__name__}); route the run through "
+            "run_work_units, which records each cell into a FlightBuffer"
+        )
+    return RunCheckpointer(spec)
+
+
+def _run_rounds(
+    policies: Dict[str, Policy],
+    world: SyntheticWorld,
+    horizon: int,
+    run_seed: int,
+    track_kendall: bool,
+    kendall_checkpoints: Optional[Sequence[int]],
+    eval_contexts: Optional[np.ndarray],
+    obs: Optional[InstrumentationLike],
+    profile: Optional[ProfileConfig],
+    stream: Optional[StreamingSink],
+    flight: Optional[object],
+    checkpoint: Optional["CellCheckpointSpec"],
+    span_name: str,
+    span_attrs: Dict[str, Any],
+    step_spans: bool,
+) -> Dict[str, History]:
+    """Step every policy over one shared stream; histories keyed like ``policies``.
+
+    The dict keys label each policy's telemetry (``policy.<key>.*``),
+    its decision records and its history.  ``span_name``/``span_attrs``
+    name the run's outer span.  On profiled rounds each policy's
+    ``select``/``commit``/``observe`` phases get spans under the
+    ``round`` span — inside a ``step:<key>`` span when ``step_spans``.
+    """
+    obs = obs if obs is not None else current()
+    instrumented = obs.enabled
+    if profile is None:
+        profile = getattr(obs, "profile_config", None)
+    if stream is None:
+        stream = getattr(obs, "stream_sink", None)
+    if flight is None:
+        flight = getattr(obs, "flight_recorder", None)
+    recording = flight is not None
+    profiling = instrumented and profile is not None
+    engine = getattr(obs, "alert_engine", None) if instrumented else None
+    if instrumented or recording:
+        # Recording needs the label too: the "policy" field of each
+        # decision record is the key, not the algorithm name.
+        for key, policy in policies.items():
+            policy.bind_obs(obs, label=key)
+            if recording:
+                policy.enable_decision_capture(True)
+
+    source = RoundStream(world, run_seed=run_seed)
+    platforms = {key: Platform(world.make_store(), world.conflicts) for key in policies}
+    rewards = {key: np.zeros(horizon) for key in policies}
+    arranged_counts = {key: np.zeros(horizon) for key in policies}
+    elapsed = {key: 0.0 for key in policies}
+
+    checkpoint_set = frozenset()
+    steps: List[int] = []
+    taus: Dict[str, List[float]] = {key: [] for key in policies}
+    true_scores: Optional[np.ndarray] = None
+    if track_kendall:
+        checkpoint_set = frozenset(
+            kendall_checkpoints
+            if kendall_checkpoints is not None
+            else default_checkpoints(horizon)
+        )
+        if eval_contexts is None:
+            eval_contexts = world.evaluation_contexts()
+        true_scores = world.expected_rewards(eval_contexts)
+
+    start_round = 0
+    checkpointer = None
+    if checkpoint is not None:
+        from repro.io.checkpoint import (
+            CHECKPOINT_RESUMED_EVENT,
+            CHECKPOINT_SAVED_EVENT,
+            CHECKPOINT_SAVES_METRIC,
+            capture_policy_state,
+            pack_json,
+            pack_state,
+            restore_policy_state,
+            unpack_json,
+            unpack_state,
+        )
+
+        checkpointer = _open_checkpointer(checkpoint, obs, recording, flight)
+        stored = checkpointer.load()
+        if stored is not None:
+            start_round = int(stored["t"][0])
+            if start_round > horizon:
+                raise ConfigurationError(
+                    f"checkpoint is at round {start_round} but the run's "
+                    f"horizon is only {horizon}"
+                )
+            source.restore_state(unpack_state("stream.", stored))
+            steps = [int(step) for step in stored["k_steps"]]
+            for key, policy in policies.items():
+                restore_policy_state(policy, unpack_state(f"p.{key}.", stored))
+                platforms[key].restore_state(unpack_state(f"plat.{key}.", stored))
+                rewards[key][:start_round] = stored[f"rewards.{key}"]
+                arranged_counts[key][:start_round] = stored[f"arranged.{key}"]
+                elapsed[key] = float(stored[f"elapsed.{key}"][0])
+                taus[key] = [float(tau) for tau in stored[f"k_taus.{key}"]]
+            if instrumented:
+                # Merging into the fresh registry reproduces the saved
+                # snapshot exactly (counters add from zero, series
+                # concatenate onto nothing) — the resume marker is a
+                # trace event only, so metrics.json stays byte-
+                # comparable to an uninterrupted run's.
+                obs.merge_snapshot(
+                    MetricsSnapshot.from_dict(unpack_json(stored["obs"]))
+                )
+                obs.merge_trace(unpack_json(stored["trace"]))
+                obs.event(CHECKPOINT_RESUMED_EVENT, round=start_round)
+            if recording:
+                flight.records[:] = unpack_json(stored["flight"])
+
+    def _save_checkpoint(round_index: int) -> None:
+        """Capture the shared stream and every policy's state at a boundary.
+
+        The saves counter is incremented *before* the snapshot is
+        captured, so the count rides inside its own checkpoint and a
+        resumed run reports exactly what an uninterrupted one does.
+        """
+        if instrumented:
+            obs.counter(CHECKPOINT_SAVES_METRIC).inc()
+        arrays = {
+            "t": np.array([round_index], dtype=np.int64),
+            "k_steps": np.asarray(steps, dtype=np.int64),
+        }
+        arrays.update(pack_state("stream.", source.state_dict()))
+        for key, policy in policies.items():
+            arrays.update(pack_state(f"p.{key}.", capture_policy_state(policy)))
+            arrays.update(pack_state(f"plat.{key}.", platforms[key].state_dict()))
+            arrays[f"rewards.{key}"] = rewards[key][:round_index].copy()
+            arrays[f"arranged.{key}"] = arranged_counts[key][:round_index].copy()
+            arrays[f"elapsed.{key}"] = np.array([elapsed[key]], dtype=np.float64)
+            arrays[f"k_taus.{key}"] = np.asarray(taus[key], dtype=np.float64)
+        if instrumented:
+            arrays["obs"] = pack_json(obs.snapshot().to_dict())
+            arrays["trace"] = pack_json(obs.trace_records())
+        if recording:
+            arrays["flight"] = pack_json(list(flight.records))
+        checkpointer.save(arrays)
+        if instrumented:
+            obs.event(CHECKPOINT_SAVED_EVENT, round=round_index)
+
+    if instrumented:
+        env_rounds = obs.counter(ENV_ROUNDS_METRIC)
+        env_commits = obs.counter(ENV_COMMITS_METRIC)
+        env_arranged = obs.counter(ENV_ARRANGED_EVENTS_METRIC)
+        env_accepted = obs.counter(ENV_ACCEPTED_EVENTS_METRIC)
+
+    def _step(
+        key: str, policy: Policy, t: int, user, contexts, accepts, profiler
+    ) -> None:
+        """One policy's select-commit-observe against round ``t``.
+
+        ``profiler`` opens the phase spans: ``obs`` on profiled rounds,
+        :data:`~repro.obs.core.NULL_OBS` otherwise.
+        """
+        platform = platforms[key]
+        view = RoundView(
+            time_step=t,
+            user=user,
+            contexts=contexts,
+            remaining_capacities=platform.store.remaining_capacities,
+            conflicts=platform.conflicts,
+        )
+        with profiler.span("select"):
+            select_start = time.perf_counter()
+            arrangement = policy.select(view)
+            select_end = time.perf_counter()
+        with profiler.span("commit"):
+            # Arrangements hold <= c_u events: scalar lookups beat
+            # fancy-indexing round trips at that size.
+            accepted_flags = [bool(accepts[event_id]) for event_id in arrangement]
+            decisions = dict(zip(arrangement, accepted_flags))
+            entry = platform.commit(user, arrangement, feedback=decisions.__getitem__)
+        with profiler.span("observe"):
+            reward_values = [1.0 if flag else 0.0 for flag in accepted_flags]
+            observe_start = time.perf_counter()
+            policy.observe(view, arrangement, reward_values)
+            observe_end = time.perf_counter()
+        elapsed[key] += (select_end - select_start) + (observe_end - observe_start)
+        rewards[key][t - 1] = entry.reward
+        arranged_counts[key][t - 1] = len(arrangement)
+        if recording:
+            flight.record(decision_record(policy, view, arrangement, reward_values))
+        if instrumented:
+            env_commits.inc()
+            env_arranged.inc(len(arrangement))
+            env_accepted.inc(len(entry.accepted))
+            _record_policy_round(
+                obs,
+                policy,
+                world.theta,
+                platform.store,
+                entry,
+                t,
+                select_end - select_start,
+                observe_end - observe_start,
+            )
+
+    with obs.span(span_name, **span_attrs):
+        for t in range(start_round + 1, horizon + 1):
+            # The sampling grid is round-indexed (t % sample_every == 0),
+            # so two runs of one seed sample identical stacks.
+            profiler = obs if profiling and profile.samples(t) else NULL_OBS
+            with profiler.span("round", t=t):
+                if instrumented:
+                    env_rounds.inc()
+                user, contexts, thresholds = source.draw()
+                accepts = thresholds < world.accept_probabilities(contexts)
+                step_profiler = profiler if step_spans else NULL_OBS
+                for key, policy in policies.items():
+                    with step_profiler.span(f"step:{key}"):
+                        _step(key, policy, t, user, contexts, accepts, profiler)
+            if engine is not None:
+                # After every policy's step: one alert evaluation per
+                # round keeps firings flush-cadence-independent.
+                engine.evaluate_round(obs, t)
+            if instrumented and stream is not None:
+                stream.maybe_flush(1)
+            if t in checkpoint_set and true_scores is not None:
+                steps.append(t)
+                for key, policy in policies.items():
+                    estimated = policy.ranking_scores(eval_contexts, t)
+                    taus[key].append(kendall_tau(estimated, true_scores))
+            # Save strictly after the Kendall diagnostic: for policies
+            # whose ranking scores draw from the policy RNG (TS), the
+            # captured bit-generator position must be the post-round
+            # one the next round actually starts from.
+            if checkpointer is not None and t < horizon and checkpointer.due(t):
+                _save_checkpoint(t)
+
+    if checkpointer is not None:
+        # The run completed; the executor's unit cache takes over, so
+        # the round slot would only invite a stale mid-run resume.
+        checkpointer.clear()
+
+    histories: Dict[str, History] = {}
+    for key, policy in policies.items():
+        if recording:
+            policy.enable_decision_capture(False)
+        if instrumented:
+            obs.counter(policy.obs_name(ROUNDS_METRIC)).inc(horizon)
+        histories[key] = History(
+            policy_name=key,
+            rewards=rewards[key],
+            arranged=arranged_counts[key],
+            avg_round_time=elapsed[key] / horizon if horizon else 0.0,
+            kendall_steps=np.asarray(steps, dtype=int) if track_kendall else None,
+            kendall_taus=np.asarray(taus[key], dtype=float) if track_kendall else None,
+        )
+    return histories
 
 
 def run_policy_fleet(
@@ -61,260 +450,31 @@ def run_policy_fleet(
     ``policy.<key>.*`` so two TS instances with different widths stay
     distinguishable.
 
-    ``profile`` enables the deterministic round-sampling profiler: on
-    sampled rounds every policy's step runs inside a ``step:<key>``
-    span (nested under the round's ``round`` span), so folded stacks
-    attribute self time per policy.  ``stream`` is offered one flush
-    opportunity per round.  Both observe only — arrangements and
-    rewards are bit-identical with them on or off.
-
-    ``checkpoint`` enables round-granular crash recovery exactly as in
-    :func:`~repro.simulation.runner.run_policy`, capturing the shared
-    input streams once plus every policy's learned/RNG/platform state
-    under per-policy prefixes.  A resumed fleet is bit-identical to an
-    uninterrupted one.
+    The remaining parameters are those of
+    :func:`~repro.simulation.runner.run_policy`.  On sampled rounds of
+    ``profile`` every policy's phases run inside a ``step:<key>`` span,
+    so folded stacks attribute self time per policy.  ``checkpoint``
+    captures the shared stream once plus every policy's learned/RNG/
+    platform state under per-key prefixes; a resumed fleet is
+    bit-identical to an uninterrupted one.
     """
     if not policies:
         raise ConfigurationError("need at least one policy")
     horizon = horizon if horizon is not None else world.config.horizon
-    obs = obs if obs is not None else current()
-    instrumented = obs.enabled
-    if profile is None:
-        profile = getattr(obs, "profile_config", None)
-    if stream is None:
-        stream = getattr(obs, "stream_sink", None)
-    if flight is None:
-        flight = getattr(obs, "flight_recorder", None)
-    recording = flight is not None
-    profiling = instrumented and profile is not None
-    engine = getattr(obs, "alert_engine", None) if instrumented else None
-    if instrumented or recording:
-        # Recording needs the label too: the "policy" field of each
-        # decision record is the fleet key, not the algorithm name.
-        for name, policy in policies.items():
-            policy.bind_obs(obs, label=name)
-            if recording:
-                policy.enable_decision_capture(True)
-
-    # Mirror FaseaEnvironment's stream construction exactly.
-    root = np.random.SeedSequence(entropy=run_seed, spawn_key=(world.config.seed,))
-    arrival_seq, context_seq, feedback_seq = root.spawn(3)
-    arrivals = world.make_arrivals(np.random.default_rng(arrival_seq))
-    context_rng = np.random.default_rng(context_seq)
-    feedback_rng = np.random.default_rng(feedback_seq)
-    sampler = world.make_context_sampler()
-
-    platforms = {name: Platform(world.make_store(), world.conflicts) for name in policies}
-    rewards = {name: np.zeros(horizon) for name in policies}
-    arranged_counts = {name: np.zeros(horizon) for name in policies}
-
-    checkpoints: List[int] = []
-    checkpoint_set = frozenset()
-    taus: Dict[str, List[float]] = {name: [] for name in policies}
-    true_scores: Optional[np.ndarray] = None
-    if track_kendall:
-        checkpoints = (
-            list(kendall_checkpoints)
-            if kendall_checkpoints is not None
-            else default_checkpoints(horizon)
-        )
-        checkpoint_set = frozenset(checkpoints)
-        if eval_contexts is None:
-            eval_contexts = world.evaluation_contexts()
-        true_scores = world.expected_rewards(eval_contexts)
-
-    num_events = len(world.capacities)
-
-    start_round = 0
-    checkpointer = None
-    if checkpoint is not None:
-        from repro.io.checkpoint import (
-            CHECKPOINT_RESUMED_EVENT,
-            CHECKPOINT_SAVED_EVENT,
-            CHECKPOINT_SAVES_METRIC,
-            capture_policy_state,
-            pack_json,
-            pack_state,
-            restore_policy_state,
-            unpack_json,
-            unpack_state,
-        )
-
-        checkpointer = open_run_checkpointer(checkpoint, obs, recording, flight)
-        stored = checkpointer.load()
-        if stored is not None:
-            start_round = int(stored["t"][0])
-            if start_round > horizon:
-                raise ConfigurationError(
-                    f"checkpoint is at round {start_round} but the run's "
-                    f"horizon is only {horizon}"
-                )
-            shared = unpack_state("stream.", stored)
-            arrivals.restore_state(
-                {
-                    key[len("arrivals_") :]: value
-                    for key, value in shared.items()
-                    if key.startswith("arrivals_")
-                }
-            )
-            restore_rng_state(context_rng, shared["context_rng"])
-            restore_rng_state(feedback_rng, shared["feedback_rng"])
-            for name, policy in policies.items():
-                prefix = f"p.{name}."
-                restore_policy_state(
-                    policy,
-                    {
-                        key[len(prefix) :]: value
-                        for key, value in stored.items()
-                        if key.startswith(prefix)
-                    },
-                )
-                platforms[name].restore_state(
-                    unpack_state(f"plat.{name}.", stored)
-                )
-                rewards[name][:start_round] = stored[f"rewards.{name}"]
-                arranged_counts[name][:start_round] = stored[f"arranged.{name}"]
-                taus[name][:] = [float(tau) for tau in stored[f"k_taus.{name}"]]
-            if instrumented:
-                # Merging into the fresh registry reproduces the saved
-                # snapshot exactly; resume markers are trace events only
-                # so metrics.json stays byte-comparable.
-                obs.merge_snapshot(
-                    MetricsSnapshot.from_dict(unpack_json(stored["obs"]))
-                )
-                obs.merge_trace(unpack_json(stored["trace"]))
-                obs.event(CHECKPOINT_RESUMED_EVENT, round=start_round)
-            if recording:
-                flight.records[:] = unpack_json(stored["flight"])
-
-    def _save_checkpoint(round_index: int) -> None:
-        """Capture shared streams + every policy's state at a boundary."""
-        if instrumented:
-            obs.counter(CHECKPOINT_SAVES_METRIC).inc()
-        arrays = {"t": np.array([round_index], dtype=np.int64)}
-        shared = {
-            f"arrivals_{key}": value
-            for key, value in arrivals.state_dict().items()
-        }
-        shared["context_rng"] = capture_rng_state(context_rng)
-        shared["feedback_rng"] = capture_rng_state(feedback_rng)
-        arrays.update(pack_state("stream.", shared))
-        for name, policy in policies.items():
-            for key, value in capture_policy_state(policy).items():
-                arrays[f"p.{name}.{key}"] = value
-            arrays.update(
-                pack_state(f"plat.{name}.", platforms[name].state_dict())
-            )
-            arrays[f"rewards.{name}"] = rewards[name][:round_index].copy()
-            arrays[f"arranged.{name}"] = arranged_counts[name][:round_index].copy()
-            arrays[f"k_taus.{name}"] = np.asarray(taus[name], dtype=np.float64)
-        if instrumented:
-            arrays["obs"] = pack_json(obs.snapshot().to_dict())
-            arrays["trace"] = pack_json(obs.trace_records())
-        if recording:
-            arrays["flight"] = pack_json(list(flight.records))
-        checkpointer.save(arrays)
-        if instrumented:
-            obs.event(CHECKPOINT_SAVED_EVENT, round=round_index)
-
-    def _step(name: str, policy: Policy, t: int, user, contexts, accepts) -> None:
-        """One policy's reveal-select-commit-observe against round ``t``."""
-        platform = platforms[name]
-        view = RoundView(
-            time_step=t,
-            user=user,
-            contexts=contexts,
-            remaining_capacities=platform.store.remaining_capacities,
-            conflicts=platform.conflicts,
-        )
-        if instrumented:
-            select_start = time.perf_counter()
-        arrangement = policy.select(view)
-        if instrumented:
-            select_end = time.perf_counter()
-        # Arrangements hold <= c_u events: scalar lookups beat
-        # fancy-indexing round trips at that size.
-        accepted_flags = [bool(accepts[event_id]) for event_id in arrangement]
-        decisions = dict(zip(arrangement, accepted_flags))
-        entry = platform.commit(
-            user, arrangement, feedback=decisions.__getitem__
-        )
-        if instrumented:
-            observe_start = time.perf_counter()
-        reward_values = [1.0 if flag else 0.0 for flag in accepted_flags]
-        policy.observe(view, arrangement, reward_values)
-        if recording:
-            flight.record(
-                decision_record(policy, view, arrangement, reward_values)
-            )
-        if instrumented:
-            observe_end = time.perf_counter()
-            record_policy_round(
-                obs,
-                policy,
-                world.theta,
-                platform.store,
-                entry,
-                t,
-                select_end - select_start,
-                observe_end - observe_start,
-            )
-        rewards[name][t - 1] = entry.reward
-        arranged_counts[name][t - 1] = len(arrangement)
-        if t in checkpoint_set and true_scores is not None:
-            taus[name].append(
-                kendall_tau(policy.ranking_scores(eval_contexts, t), true_scores)
-            )
-
-    with obs.span(
-        "run_policy_fleet",
-        policies=list(policies),
-        horizon=horizon,
-        run_seed=run_seed,
-    ):
-        for t in range(start_round + 1, horizon + 1):
-            user = arrivals.next_user()
-            contexts = sampler.sample(context_rng)
-            thresholds = feedback_rng.uniform(size=num_events)
-            probabilities = world.accept_probabilities(contexts)
-            accepts = thresholds < probabilities
-            if profiling and profile.samples(t):
-                # Sampled round: per-policy steps run inside spans so
-                # folded stacks attribute self time to each policy.
-                with obs.span("round", t=t):
-                    for name, policy in policies.items():
-                        with obs.span(f"step:{name}"):
-                            _step(name, policy, t, user, contexts, accepts)
-            else:
-                for name, policy in policies.items():
-                    _step(name, policy, t, user, contexts, accepts)
-            if engine is not None:
-                # After every policy's step: one alert evaluation per
-                # round keeps firings flush-cadence-independent.
-                engine.evaluate_round(obs, t)
-            if instrumented and stream is not None:
-                stream.maybe_flush(1)
-            # Save strictly after every policy's step (including the
-            # Kendall diagnostic, which for TS draws from the policy
-            # RNG): the captured positions are the ones round t+1
-            # actually starts from.
-            if checkpointer is not None and t < horizon and checkpointer.due(t):
-                _save_checkpoint(t)
-
-    if checkpointer is not None:
-        # The cell completed; the executor's unit cache takes over.
-        checkpointer.clear()
-
-    if recording:
-        for policy in policies.values():
-            policy.enable_decision_capture(False)
-    histories: Dict[str, History] = {}
-    for name in policies:
-        histories[name] = History(
-            policy_name=name,
-            rewards=rewards[name],
-            arranged=arranged_counts[name],
-            kendall_steps=np.asarray(checkpoints, dtype=int) if track_kendall else None,
-            kendall_taus=np.asarray(taus[name]) if track_kendall else None,
-        )
-    return histories
+    return _run_rounds(
+        policies,
+        world,
+        horizon,
+        run_seed,
+        track_kendall,
+        kendall_checkpoints,
+        eval_contexts,
+        obs,
+        profile,
+        stream,
+        flight,
+        checkpoint,
+        span_name="run_policy_fleet",
+        span_attrs={"policies": list(policies), "horizon": horizon, "run_seed": run_seed},
+        step_spans=True,
+    )

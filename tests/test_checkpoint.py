@@ -336,6 +336,38 @@ def test_run_checkpointer_rejects_non_checkpoint_archives(tmp_path):
         ).load()
 
 
+def test_a_version_1_slot_is_refused_with_the_version_message(tmp_path):
+    """A slot in the old per-runner layout (``policy.*``/``env.*``) left
+    by an older build is refused by version, never read as a v2 slot."""
+    assert CHECKPOINT_SCHEMA_VERSION == 2
+    world = build_world(tiny_config())
+    env = FaseaEnvironment(world, run_seed=0)
+    arrays = {
+        "t": np.array([10], dtype=np.int64),
+        "rewards": np.zeros(10),
+        "arranged": np.zeros(10),
+        "elapsed": np.zeros(1),
+        "k_steps": np.zeros(0, dtype=np.int64),
+        "k_taus": np.zeros(0),
+        "checkpoint_version": np.array([1], dtype=np.int64),
+        "checkpoint_key": np.frombuffer(b"UCB", dtype=np.uint8),
+    }
+    arrays.update(pack_state("env.", env.state_dict()))
+    atomic_save_npz(tmp_path / "UCB.ckpt.npz", arrays)
+    cell = PolicyRunCell(
+        config=tiny_config(),
+        policy_name="UCB",
+        horizon=40,
+        run_seed=0,
+        policy_seed=1,
+        checkpoint=CellCheckpointSpec(
+            directory=str(tmp_path), key="UCB", every=10, resume=True
+        ),
+    )
+    with pytest.raises(ConfigurationError, match="checkpoint version 1, expected 2"):
+        run_policy_run_cell(cell)
+
+
 # ----------------------------------------------------------------------
 # Unit-result cache
 # ----------------------------------------------------------------------

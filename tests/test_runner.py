@@ -28,16 +28,21 @@ def test_runner_is_deterministic_given_all_seeds(small_world):
 
 
 def test_kendall_tracking_records_taus(small_world):
-    history = run_policy(
-        UcbPolicy(dim=4),
-        small_world,
-        horizon=60,
-        track_kendall=True,
-        kendall_checkpoints=[10, 30, 60],
-    )
-    assert history.kendall_steps.tolist() == [10, 30, 60]
-    assert history.kendall_taus.shape == (3,)
-    assert np.all(np.abs(history.kendall_taus) <= 1.0)
+    # Checkpoints past the horizon are never reached, so never reported.
+    for horizon, checkpoints, reached in [
+        (60, [10, 30, 60], [10, 30, 60]),
+        (50, [10, 40, 80], [10, 40]),
+    ]:
+        history = run_policy(
+            UcbPolicy(dim=4),
+            small_world,
+            horizon=horizon,
+            track_kendall=True,
+            kendall_checkpoints=checkpoints,
+        )
+        assert history.kendall_steps.tolist() == reached
+        assert history.kendall_taus.shape == (len(reached),)
+        assert np.all(np.abs(history.kendall_taus) <= 1.0)
 
 
 def test_opt_kendall_is_perfect(small_world):
