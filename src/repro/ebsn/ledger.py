@@ -10,7 +10,7 @@ a simulation can always be reconciled after the fact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -111,6 +111,19 @@ class RegistrationLedger:
             "accepted_offsets": accepted_offsets,
             "accepted_flat": np.array(accepted_flat, dtype=np.int64),
         }
+
+    def rows(self, start: int = 0) -> List[List[Any]]:
+        """Entries from index ``start`` on as JSON-ready
+        ``[time_step, user_id, arranged, accepted]`` rows."""
+        return [
+            [entry.time_step, entry.user_id, list(entry.arranged), list(entry.accepted)]
+            for entry in self._entries[start:]
+        ]
+
+    def extend_rows(self, rows: Sequence[Sequence[Any]]) -> None:
+        """Append :meth:`rows` output (re-validated entry by entry)."""
+        for time_step, user_id, arranged, accepted in rows:
+            self.record(int(time_step), int(user_id), arranged, accepted)
 
     def restore_arrays(self, arrays: Mapping[str, np.ndarray]) -> None:
         """Rebuild the log from :meth:`state_arrays` output.

@@ -108,18 +108,20 @@ def check_efficiency_ordering(rounds: int = 150, repeats: int = 3) -> Tuple[bool
     Each policy is timed ``repeats`` times (fresh policy and streams)
     and the minimum is kept — after the batched-Woodbury/top-k kernel
     work the per-round margins are a few tens of microseconds, so a
-    single noisy pass is not a reliable ranking.
+    single noisy pass is not a reliable ranking.  The repeats are
+    interleaved (each one times every policy once), so a slow phase of
+    the host lands on every policy rather than on one.
     """
     config = SyntheticConfig.scaled_default(seed=0)
     world = build_world(config)
-    times = {}
-    for name in ("UCB", "TS", "eGreedy", "Exploit", "Random"):
-        times[name] = min(
-            time_policy_rounds(
+    names = ("UCB", "TS", "eGreedy", "Exploit", "Random")
+    times = {name: float("inf") for name in names}
+    for _ in range(max(repeats, 1)):
+        for name in names:
+            seconds = time_policy_rounds(
                 make_policy(name, dim=config.dim, seed=1), world, rounds=rounds
             )
-            for _ in range(max(repeats, 1))
-        )
+            times[name] = min(times[name], seconds)
     holds = (
         times["Random"] < times["UCB"]
         and times["Exploit"] < times["UCB"]

@@ -533,8 +533,13 @@ class Instrumentation:
         return list(self._trace[start:])
 
     # -- snapshots -----------------------------------------------------
-    def snapshot(self) -> MetricsSnapshot:
-        """A plain-data image of every registered metric."""
+    def snapshot(self, include_series: bool = True) -> MetricsSnapshot:
+        """A plain-data image of every registered metric.
+
+        ``include_series=False`` leaves the series out, so the image
+        costs O(metrics) rather than O(points); pair it with
+        :meth:`series_since` to ship series points incrementally.
+        """
         snap = MetricsSnapshot()
         for name in sorted(self._metrics):
             metric = self._metrics[name]
@@ -547,9 +552,27 @@ class Instrumentation:
                 snap.histograms[name]["unit"] = "seconds"
             elif isinstance(metric, Histogram):
                 snap.histograms[name] = _histogram_payload(metric)
-            elif isinstance(metric, Series):
+            elif include_series and isinstance(metric, Series):
                 snap.series[name] = [[step, value] for step, value in metric.points]
         return snap
+
+    def series_since(self, cursors: Dict[str, int]) -> Dict[str, List[List[float]]]:
+        """Series points appended since ``cursors`` (name -> points seen).
+
+        A series missing from ``cursors`` is reported whole, even when
+        empty, so its name survives a rebuild from the deltas.  Advances
+        ``cursors`` to the current lengths: O(new points) per call,
+        like :meth:`trace_records_since`.
+        """
+        delta: Dict[str, List[List[float]]] = {}
+        for name, metric in self._metrics.items():
+            if not isinstance(metric, Series):
+                continue
+            start = cursors.get(name)
+            if start is None or start < len(metric.points):
+                delta[name] = [[step, value] for step, value in metric.points[start or 0 :]]
+                cursors[name] = len(metric.points)
+        return delta
 
     def merge_snapshot(self, snapshot: MetricsSnapshot) -> None:
         """Fold a (worker) snapshot into the live registry.
@@ -722,8 +745,11 @@ class NullInstrumentation:
     def trace_records_since(self, start: int) -> List[Dict[str, Any]]:
         return []
 
-    def snapshot(self) -> MetricsSnapshot:
+    def snapshot(self, include_series: bool = True) -> MetricsSnapshot:
         return MetricsSnapshot()
+
+    def series_since(self, cursors: Dict[str, int]) -> Dict[str, List[List[float]]]:
+        return {}
 
     def merge_snapshot(self, snapshot: MetricsSnapshot) -> None:
         return None

@@ -153,6 +153,32 @@ def test_topk_falls_back_when_capacities_exhaust_the_prefix(monkeypatch):
     assert result == expected == [29, 28, 27, 26]
 
 
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_prefix_and_full_paths_agree_at_the_crossover(offset, monkeypatch):
+    """Fresh score draws at |V| around _PREFIX_MIN_EVENTS: the path the
+    gate picks returns what the other path (and a full sort) returns."""
+    import repro.oracle.greedy as greedy_module
+    from repro.datasets.synthetic import SyntheticConfig, build_world
+
+    n = greedy_module._PREFIX_MIN_EVENTS + offset
+    conflicts = build_world(
+        SyntheticConfig(num_events=n, horizon=10, dim=4, conflict_ratio=0.25, seed=offset + 1)
+    ).conflicts
+    rng = np.random.default_rng(n)
+    remaining = rng.integers(0, 3, size=n).astype(float)
+    for _ in range(40):
+        scores = rng.normal(size=n)
+        user_capacity = int(rng.integers(1, 6))
+        gated = oracle_greedy(scores, conflicts, remaining, user_capacity)
+        monkeypatch.setattr(greedy_module, "_PREFIX_MIN_EVENTS", 0)
+        prefix = oracle_greedy(scores, conflicts, remaining, user_capacity)
+        monkeypatch.setattr(greedy_module, "_PREFIX_MIN_EVENTS", n + 1)
+        full = oracle_greedy(scores, conflicts, remaining, user_capacity)
+        monkeypatch.undo()
+        assert gated == prefix == full
+        assert full == reference_oracle_greedy(scores, conflicts, remaining, user_capacity)
+
+
 @pytest.mark.parametrize("trial", range(25))
 def test_topk_matches_full_sort_on_adversarial_random_instances(trial, monkeypatch):
     """Randomised duels: discretised scores (heavy ties), dense conflicts,
