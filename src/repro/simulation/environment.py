@@ -143,11 +143,20 @@ class FaseaEnvironment:
         state = self.stream.state_dict()
         for key, value in self.platform.state_dict().items():
             state[f"platform_{key}"] = value
+        for key, value in self.platform.ledger.state_arrays().items():
+            state[f"ledger_{key}"] = value
         return state
 
     def restore_state(self, state: Mapping[str, object]) -> None:
         """Restore a :meth:`state_dict` snapshot (bit-exact positions)."""
         self.stream.restore_state(state)
+        self.platform.ledger.restore_arrays(
+            {
+                key[len("ledger_") :]: value  # type: ignore[misc]
+                for key, value in state.items()
+                if key.startswith("ledger_")
+            }
+        )
         self.platform.restore_state(
             {
                 key[len("platform_") :]: value
