@@ -1,4 +1,4 @@
-"""Disabled-mode cost guard for the decision flight recorder.
+"""Disabled- and enabled-mode cost guards for the decision flight recorder.
 
 The flight recorder promises that a run *without* ``--flight`` pays
 only the capture guards: one class-attribute read per ``select``
@@ -13,10 +13,17 @@ threshold.
 
 A recording-mode cross-check also runs: one seeded run with a
 :class:`FlightBuffer` attached and one without must produce identical
-rewards — capture must never perturb a decision — and the informational
-report documents what turning recording *on* costs.
+rewards — capture must never perturb a decision.
 
-Run as a script for the CI gate (exit 1 on regression)::
+Turning recording *on* has a gated price too: a scaled-world fleet
+(OPT plus five policies, ``ENABLED_HORIZON`` rounds) recording through
+a :class:`FlightRecorder` into a temporary directory — capture, record
+building, the ``decisions.jsonl`` lines and the ``decisions.f64``
+sidecar, the final fsync — may take at most ``MAX_ENABLED_RATIO`` times
+the same fleet with flight off, by the same paired best-of-N ratio, and
+must produce identical rewards.
+
+Run as a script for the CI gate (exit 1 on regression of either)::
 
     python -m benchmarks.bench_flight_overhead --threshold 0.03 --repeats 9
 """
@@ -26,21 +33,29 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 import time
 import timeit
 from typing import List, Optional, Sequence
 
-from benchmarks.conftest import bench_config
+from benchmarks.conftest import POLICY_NAMES, bench_config
 from repro.bandits.ucb import UcbPolicy
-from repro.datasets.synthetic import build_world
-from repro.obs.flight import FlightBuffer, decision_record
+from repro.datasets.synthetic import SyntheticConfig, build_world
+from repro.obs.core import NULL_OBS
+from repro.obs.flight import FlightBuffer, FlightRecorder, decision_record
 from repro.simulation.environment import FaseaEnvironment
+from repro.simulation.fleet import policy_suite, run_policy_fleet
 from repro.simulation.runner import run_policy
 
 HORIZON = 300
 WARMUP_ROUNDS = 40
 FROZEN_VIEWS = 32
 PASSES_PER_SAMPLE = 50
+
+#: Enabled-mode gate: rounds of the recorded fleet, and the largest
+#: tolerated (flight on) / (flight off) paired best-of-N time ratio.
+ENABLED_HORIZON = 400
+MAX_ENABLED_RATIO = 2.0
 
 
 def _frozen_fixture():
@@ -145,10 +160,65 @@ def check_recording_equivalence(horizon: int = 150) -> dict:
     }
 
 
+def measure_enabled_overhead(
+    repeats: int = 9, horizon: int = ENABLED_HORIZON
+) -> dict:
+    """Paired best-of-N ratio of a fleet recording to disk vs flight off.
+
+    Each sample times the whole recorded run — opening the recorder
+    (atomic truncation), the rounds, and :meth:`FlightRecorder.close`
+    (the final fsync) — against the same fleet without a recorder.
+    Rewards must be identical between the two, bit for bit.
+    """
+    world = build_world(SyntheticConfig.scaled_default(seed=0))
+
+    def run(directory: Optional[str]) -> "tuple[float, dict]":
+        fleet = policy_suite(world, POLICY_NAMES, policy_seed=1)
+        start = time.perf_counter()
+        recorder = FlightRecorder(directory) if directory is not None else None
+        histories = run_policy_fleet(
+            fleet, world, horizon=horizon, run_seed=0, obs=NULL_OBS, flight=recorder
+        )
+        if recorder is not None:
+            recorder.close()
+            if recorder.num_records != len(fleet) * horizon:  # pragma: no cover
+                raise AssertionError(
+                    f"expected {len(fleet) * horizon} decision records, "
+                    f"got {recorder.num_records}"
+                )
+        seconds = time.perf_counter() - start
+        return seconds, {key: h.rewards.tobytes() for key, h in histories.items()}
+
+    off_times: List[float] = []
+    on_times: List[float] = []
+    with tempfile.TemporaryDirectory(prefix="flight-gate-") as directory:
+        for index in range(repeats):
+            # Alternate the order so slow machine phases land inside a pair.
+            if index % 2 == 0:
+                off_seconds, off_rewards = run(None)
+                on_seconds, on_rewards = run(directory)
+            else:
+                on_seconds, on_rewards = run(directory)
+                off_seconds, off_rewards = run(None)
+            if on_rewards != off_rewards:  # pragma: no cover - guard
+                raise AssertionError("recording to disk perturbed the fleet's rewards")
+            off_times.append(off_seconds)
+            on_times.append(on_seconds)
+    return {
+        "enabled_horizon": horizon,
+        "enabled_policies": len(POLICY_NAMES) + 1,
+        "enabled_off_run_seconds": min(off_times),
+        "enabled_on_run_seconds": min(on_times),
+        "enabled_ratio": min(on / off for off, on in zip(off_times, on_times)),
+        "max_enabled_ratio": MAX_ENABLED_RATIO,
+    }
+
+
 def measure_overhead(repeats: int = 9) -> dict:
-    """The full report: disabled-mode gate + recording cross-check."""
+    """The full report: both gates + the recording cross-check."""
     result = measure_capture_guard_overhead(repeats=repeats)
     result.update(check_recording_equivalence())
+    result.update(measure_enabled_overhead(repeats=repeats))
     return result
 
 
@@ -164,7 +234,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     result = measure_overhead(repeats=args.repeats)
     result["threshold"] = args.threshold
-    result["ok"] = result["flight_ratio"] <= 1.0 + args.threshold
+    result["disabled_ok"] = result["flight_ratio"] <= 1.0 + args.threshold
+    result["enabled_ok"] = result["enabled_ratio"] <= MAX_ENABLED_RATIO
+    result["ok"] = result["disabled_ok"] and result["enabled_ok"]
     json.dump(result, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0 if result["ok"] else 1
@@ -192,6 +264,11 @@ def test_select_capture_on(benchmark):
 def test_recording_and_plain_runs_agree():
     report = check_recording_equivalence(horizon=60)
     assert report["total_reward"] > 0
+
+
+def test_recording_to_disk_keeps_fleet_rewards():
+    report = measure_enabled_overhead(repeats=1, horizon=40)
+    assert report["enabled_on_run_seconds"] > 0
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from repro.analysis.convergence import detect_plateau
 from repro.bandits import OptPolicy
 from repro.datasets.synthetic import SyntheticConfig, build_world
 from repro.experiments.reporting import format_table
-from repro.io import RunStore
+from repro.io.runstore import RunStore
 from repro.simulation.runner import run_policy
 
 HORIZON = 3000

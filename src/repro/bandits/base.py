@@ -128,9 +128,11 @@ class Policy(abc.ABC):
         Populated only while decision capture is enabled: candidate
         scores, UCB widths / TS samples where applicable, the
         exploration coin and its propensity, oracle rejection counts
-        and an RNG-state fingerprint.  Policies that do not capture
-        (e.g. :class:`DisjointUcbPolicy`) return ``None`` and the
-        flight record carries just the runner-visible fields.
+        and an RNG-state fingerprint.  The vectors are the float64
+        arrays the policy computed, stashed without conversion (the
+        flight log stores them as raw float64).  Policies that do not
+        capture (e.g. :class:`DisjointUcbPolicy`) return ``None`` and
+        the flight record carries just the runner-visible fields.
         """
         return self._decision
 

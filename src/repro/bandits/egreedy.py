@@ -108,7 +108,7 @@ class EpsilonGreedyPolicy(Policy):
             return arrangement
         scores = self.model.predict(view.contexts)
         if capture and self._decision is not None:
-            self._decision["scores"] = [float(v) for v in scores]
+            self._decision["scores"] = scores
         return self._run_oracle(view, scores)
 
     def observe(

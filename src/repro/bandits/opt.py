@@ -35,9 +35,7 @@ class OptPolicy(Policy):
         scores = view.contexts @ self.theta
         if self._capture_decisions:
             # Clairvoyant and deterministic: propensity 1.
-            self._stash_decision(
-                scores=[float(v) for v in scores], propensity=1.0
-            )
+            self._stash_decision(scores=scores, propensity=1.0)
         return self._run_oracle(view, scores)
 
     def predicted_scores(self, contexts: np.ndarray) -> np.ndarray:

@@ -125,8 +125,8 @@ class ThompsonSamplingPolicy(Policy):
             # a combinatorial action space; no per-action density is
             # logged, so the propensity is None (IPS/SNIPS/DR skip it).
             self._stash_decision(
-                scores=[float(v) for v in scores],
-                theta_sample=[float(v) for v in theta_sample],
+                scores=scores,
+                theta_sample=theta_sample,
                 sampling_width=self.sampling_width(view.time_step),
                 propensity=None,
                 rng=rng_state,

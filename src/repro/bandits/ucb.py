@@ -70,8 +70,8 @@ class UcbPolicy(Policy):
                 # logged action has propensity 1 under the behavior
                 # policy (the OPE contract for greedy policies).
                 self._stash_decision(
-                    scores=[float(v) for v in scores],
-                    widths=[float(v) for v in widths],
+                    scores=scores,
+                    widths=widths,
                     propensity=1.0,
                 )
         else:

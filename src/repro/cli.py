@@ -690,7 +690,7 @@ def _replicate(args: argparse.Namespace) -> int:
     from repro.bandits import POLICY_NAMES
     from repro.datasets.synthetic import SyntheticConfig
     from repro.experiments.reporting import format_table
-    from repro.io import RunStore
+    from repro.io.runstore import RunStore
     from repro.obs.core import NULL_OBS, use
 
     config = SyntheticConfig.scaled_default().with_overrides(horizon=args.horizon)

@@ -1,4 +1,4 @@
-"""Persistence: history serialisation and the SQLite run store.
+"""Persistence: history serialisation, the SQLite run store and durable files.
 
 * :mod:`~repro.io.history_io` — save/load :class:`~repro.simulation.history.History`
   objects (JSON metadata + npz arrays) so long runs can be archived and
@@ -6,25 +6,18 @@
 * :mod:`~repro.io.runstore` — a small SQLite database of run summaries
   and curve samples; the ``fasea`` CLI and the replication harness use
   it to accumulate results across sessions and seeds.
+* :mod:`~repro.io.logfile` — the crash-safe append-only writer behind
+  ``decisions.jsonl`` and ``alerts.jsonl``.
+* :mod:`~repro.io.checkpoint` — round checkpoints and the executor's
+  unit-result cache.
+
+The package re-exports only the dependency-free log writer; import
+the rest from its submodule.  The observability layer builds on
+:mod:`~repro.io.logfile` while the simulation package is still
+initialising, and ``history_io`` / ``runstore`` reach back into both,
+so importing them here would close an import cycle.
 """
 
-from repro.io.history_io import load_history, save_history
-from repro.io.runstore import (
-    METRICS_FILENAME,
-    TRACE_FILENAME,
-    RunRecord,
-    RunStore,
-    load_run_metrics,
-    persist_run_telemetry,
-)
+from repro.io.logfile import DEFAULT_FSYNC_RECORDS, AppendOnlyLog, atomic_write_bytes
 
-__all__ = [
-    "METRICS_FILENAME",
-    "TRACE_FILENAME",
-    "RunRecord",
-    "RunStore",
-    "load_history",
-    "load_run_metrics",
-    "persist_run_telemetry",
-    "save_history",
-]
+__all__ = ["DEFAULT_FSYNC_RECORDS", "AppendOnlyLog", "atomic_write_bytes"]

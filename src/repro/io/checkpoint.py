@@ -58,6 +58,7 @@ import numpy as np
 from repro.bandits.base import Policy
 from repro.bandits.disjoint import DisjointUcbPolicy
 from repro.exceptions import ConfigurationError
+from repro.io.logfile import atomic_write_bytes
 from repro.linalg.sampling import capture_rng_state, restore_rng_state
 
 PathLike = Union[str, Path]
@@ -96,15 +97,18 @@ __all__ = [
 #: Bumped when the cell-checkpoint npz layout changes incompatibly
 #: (2: every run is a fleet — per-key ``p.``/``plat.``/``rewards.``/
 #: ``elapsed.`` entries around one shared ``stream.`` block; 3: what
-#: grows with the rounds moves to the append-only ``.ckpt.log``).
-CHECKPOINT_SCHEMA_VERSION = 3
+#: grows with the rounds moves to the append-only ``.ckpt.log``; 4: a
+#: frame's flight vectors are one float64 array, not JSON text).
+CHECKPOINT_SCHEMA_VERSION = 4
 #: :meth:`RunCheckpointer.save` appends the entries named ``log.*`` to
 #: the log (prefix stripped) and writes the rest as the head.
 LOG_PREFIX = "log."
 #: Each log frame is a little-endian uint64 byte length, then an npz.
 _FRAME_HEADER = struct.Struct("<Q")
-#: Bumped when the pickled unit-cache layout changes incompatibly.
-UNIT_CACHE_SCHEMA_VERSION = 1
+#: Bumped when the pickled unit-cache layout changes incompatibly
+#: (2: flight records carry float64 vector arrays and version-2 RNG
+#: fingerprints, so a cached v1 result would mix two log schemas).
+UNIT_CACHE_SCHEMA_VERSION = 2
 #: The checkpoint directory's identity document.
 MANIFEST_FILENAME = "manifest.json"
 #: Default ``--checkpoint`` cadence (rounds between saves).
@@ -124,19 +128,6 @@ CHECKPOINT_RESUMED_EVENT = "checkpoint.resumed"
 # ----------------------------------------------------------------------
 # Atomic binary writes (the flight-recorder crash-safety contract)
 # ----------------------------------------------------------------------
-def atomic_write_bytes(path: PathLike, data: bytes) -> Path:
-    """Write ``data`` atomically: temp file + flush + fsync + ``os.replace``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp_path = path.parent / f".{path.name}.tmp"
-    with tmp_path.open("wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
-    return path
-
-
 def atomic_save_npz(path: PathLike, arrays: Mapping[str, np.ndarray]) -> Path:
     """Atomically persist a dict of arrays as an ``.npz``."""
     path = Path(path)

@@ -48,6 +48,7 @@ from repro.obs.export import (
 from repro.obs.flight import (
     DECISIONS_FILENAME,
     FLIGHT_SCHEMA_VERSION,
+    VECTORS_FILENAME,
     FlightBuffer,
     FlightLog,
     FlightRecorder,
@@ -56,8 +57,11 @@ from repro.obs.flight import (
     load_flight,
     make_replication_header,
     make_run_header,
+    pack_vectors,
     policy_digests,
+    record_bytes,
     rng_fingerprint,
+    unpack_vectors,
 )
 from repro.obs.profile import Profile, ProfileConfig, load_profile, write_profile
 from repro.obs.stream import StreamingSink, run_tail, tail_lines
@@ -87,6 +91,7 @@ __all__ = [
     "Series",
     "StreamingSink",
     "Timer",
+    "VECTORS_FILENAME",
     "append_trace_jsonl",
     "color_allowed",
     "current",
@@ -96,8 +101,10 @@ __all__ = [
     "load_profile",
     "make_replication_header",
     "make_run_header",
+    "pack_vectors",
     "policy_digests",
     "read_trace_jsonl",
+    "record_bytes",
     "rng_fingerprint",
     "run_tail",
     "set_current",
@@ -106,6 +113,7 @@ __all__ = [
     "span_tree_lines",
     "tail_lines",
     "to_prometheus_text",
+    "unpack_vectors",
     "use",
     "write_profile",
     "write_trace_jsonl",

@@ -33,23 +33,23 @@ identical between serial and ``--jobs N`` runs:
 * firing records carry no wall-clock fields and serialize with sorted
   keys.
 
-The :class:`AlertLog` writer follows the flight-recorder crash-safety
-discipline: atomic truncate at open, one complete JSON line per
-record, flush per record, fsync every N records and on close.
+The :class:`AlertLog` writer is the shared crash-safe
+:class:`~repro.io.logfile.AppendOnlyLog`: atomic truncate at open, one
+complete JSON line per record, flush per record, fsync every N records
+and on close.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ConfigurationError
+from repro.io.logfile import DEFAULT_FSYNC_RECORDS, AppendOnlyLog
 from repro.obs.core import Counter, Gauge, Histogram, Series, Timer
 from repro.obs.health import (
     CAPACITY_CLIFF_DETECTOR,
@@ -67,9 +67,6 @@ ALERTS_SCHEMA_VERSION = 1
 
 #: Filename of the alert log inside a run directory.
 ALERTS_FILENAME = "alerts.jsonl"
-
-#: Fsync cadence of the streaming alert log (mirrors the flight recorder).
-DEFAULT_FSYNC_RECORDS = 64
 
 #: Known detector identifiers a rule may subscribe to.
 KNOWN_DETECTORS = frozenset({
@@ -329,12 +326,12 @@ class AlertBuffer:
         self.close()
 
 
-class AlertLog:
+class AlertLog(AppendOnlyLog):
     """Crash-safe streaming writer for ``alerts.jsonl``.
 
-    Same discipline as the decision flight recorder: the log is
-    truncated atomically at construction, every record is written as
-    one complete JSON line and flushed, and the file is fsync'd every
+    The shared :class:`~repro.io.logfile.AppendOnlyLog` discipline: the
+    log is truncated atomically at construction, every record is written
+    as one complete JSON line and flushed, and the file is fsync'd every
     ``fsync_every_records`` records and unconditionally on close — a
     SIGKILL'd run leaves a longest-valid-prefix log.
     """
@@ -344,63 +341,11 @@ class AlertLog:
         directory: Union[str, Path],
         fsync_every_records: int = DEFAULT_FSYNC_RECORDS,
     ) -> None:
-        from repro.obs.trace import write_trace_jsonl
-
-        if fsync_every_records < 1:
-            raise ConfigurationError(
-                f"fsync_every_records must be >= 1, got {fsync_every_records}"
-            )
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.path = self.directory / ALERTS_FILENAME
-        self.fsync_every_records = int(fsync_every_records)
-        self._records_since_fsync = 0
-        self._num_records = 0
-        self._closed = False
-        write_trace_jsonl([], self.path, atomic=True)
-        self._handle: Optional[io.TextIOWrapper] = self.path.open(
-            "a", encoding="utf-8"
-        )
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def num_records(self) -> int:
-        return self._num_records
+        super().__init__(self.directory / ALERTS_FILENAME, fsync_every_records)
 
     def record(self, record: AlertRecord) -> None:
-        if self._closed or self._handle is None:
-            raise ConfigurationError("AlertLog is closed")
-        self._handle.write(alert_line(record))
-        self._handle.write("\n")
-        self._handle.flush()
-        self._num_records += 1
-        self._records_since_fsync += 1
-        if self._records_since_fsync >= self.fsync_every_records:
-            os.fsync(self._handle.fileno())
-            self._records_since_fsync = 0
-
-    def extend(self, records: Iterable[AlertRecord]) -> None:
-        for record in records:
-            self.record(record)
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._handle is not None:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "AlertLog":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
+        self.write_line(alert_line(record))
 
 
 def load_alerts(

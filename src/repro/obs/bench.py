@@ -425,7 +425,8 @@ def run_smoke_benchmark(
     directions["ts_vs_ucb_gap"] = "exact"
     # Decision flight cross-check: recording must not move one reward
     # bit, and recording the same run twice must produce byte-identical
-    # records — both stamped ``exact`` so the compare gate enforces the
+    # records (thin line plus float64 vector bytes, see
+    # ``flight.record_bytes``) — both stamped ``exact`` so the compare gate enforces the
     # flight recorder's determinism contract on every CI run.
     from repro.obs.flight import FlightBuffer, flight_digest
 

@@ -3,9 +3,11 @@
 ``replay_flight`` rebuilds the exact run a ``decisions.jsonl`` header
 describes — same world config, same run seed, same policy constructor
 specs — re-executes it with an in-memory :class:`FlightBuffer`, and
-compares the replayed records against the logged ones line-by-line in
-their canonical JSON encoding.  Because every stream (arrivals,
-contexts, feedback coins, policy RNGs) is derived from recorded seeds,
+compares the replayed records against the logged ones record by record
+in their canonical encoding (:func:`~repro.obs.flight.record_bytes`:
+the thin JSON line plus the float64 bytes of every vector).  Because
+every stream (arrivals, contexts, feedback coins, policy RNGs) is
+derived from recorded seeds,
 a healthy log replays *bit-for-bit*: same chosen arms, same scores,
 same rewards, round after round.
 
@@ -22,6 +24,8 @@ import dataclasses
 import json
 from typing import Any, Dict, List, Optional
 
+import numpy as np
+
 from repro.bandits import OptPolicy, make_policy
 from repro.bandits.base import Policy
 from repro.datasets.synthetic import SyntheticConfig, build_world
@@ -32,7 +36,7 @@ from repro.obs.flight import (
     FlightLog,
     FlightRecord,
     cell_record,
-    record_line,
+    record_bytes,
 )
 from repro.simulation.fleet import policy_suite, run_policy_fleet
 from repro.simulation.runner import run_policy
@@ -112,12 +116,12 @@ def _compare_group(
     logged: List[FlightRecord],
     replayed: List[FlightRecord],
 ) -> GroupReplay:
-    """Line-by-line canonical comparison of one record group."""
+    """Record-by-record canonical comparison of one record group."""
     first_divergence: Optional[int] = None
     logged_record: Optional[FlightRecord] = None
     replayed_record: Optional[FlightRecord] = None
     for log_rec, rep_rec in zip(logged, replayed):
-        if record_line(log_rec) != record_line(rep_rec):
+        if record_bytes(log_rec) != record_bytes(rep_rec):
             first_divergence = int(log_rec.get("t", -1))
             logged_record = log_rec
             replayed_record = rep_rec
@@ -261,8 +265,17 @@ def _side_by_side(
     lines = ["  field                logged | replayed"]
     keys = sorted(set(logged or {}) | set(replayed or {}))
     for key in keys:
-        left = json.dumps((logged or {}).get(key), sort_keys=True)
-        right = json.dumps((replayed or {}).get(key), sort_keys=True)
+        left = json.dumps((logged or {}).get(key), sort_keys=True, default=_listed)
+        right = json.dumps(
+            (replayed or {}).get(key), sort_keys=True, default=_listed
+        )
         marker = " " if left == right else "*"
         lines.append(f"  {marker} {key:<18} {left} | {right}")
     return lines
+
+
+def _listed(value: Any) -> Any:
+    """JSON fallback for the diff dump: vectors print as float lists."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")

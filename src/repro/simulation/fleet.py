@@ -39,7 +39,7 @@ from repro.ebsn.platform import Platform
 from repro.exceptions import ConfigurationError
 from repro.metrics.kendall import kendall_tau
 from repro.obs.core import NULL_OBS, InstrumentationLike, MetricsSnapshot, current
-from repro.obs.flight import decision_record
+from repro.obs.flight import decision_record, pack_vectors, unpack_vectors
 from repro.obs.health import (
     CAPACITY_EXHAUSTED_METRIC,
     FILL_RATE_SERIES_METRIC,
@@ -68,6 +68,11 @@ ROUNDS_METRIC = "rounds"
 
 #: Reserved fleet key for the full-knowledge reference policy.
 OPT_KEY = "OPT"
+
+#: Checkpoint log-frame entries holding the flight records' vectors
+#: (see :func:`repro.obs.flight.pack_vectors`).
+FLIGHT_VECTORS_ENTRY = "flight_f64"
+FLIGHT_LENGTHS_ENTRY = "flight_lengths"
 
 
 def policy_suite(
@@ -274,7 +279,8 @@ def _run_rounds(
                 )
             source.restore_state(unpack_state("stream.", stored))
             steps = [int(step) for step in stored["k_steps"]]
-            logs = [unpack_json(frame["json"]) for frame in checkpointer.log_frames()]
+            frames = checkpointer.log_frames()
+            logs = [unpack_json(frame["json"]) for frame in frames]
             for key, policy in policies.items():
                 restore_policy_state(policy, unpack_state(f"p.{key}.", stored))
                 platforms[key].restore_state(unpack_state(f"plat.{key}.", stored))
@@ -308,7 +314,15 @@ def _run_rounds(
                 obs.series_since(series_marks)  # marks only: all of it is logged
                 obs.event(CHECKPOINT_RESUMED_EVENT, round=start_round)
             if recording:
-                flight.records[:] = [record for log in logs for record in log["flight"]]
+                flight.records[:] = [
+                    record
+                    for frame, log in zip(frames, logs)
+                    for record in unpack_vectors(
+                        log["flight"],
+                        frame[FLIGHT_VECTORS_ENTRY],
+                        frame[FLIGHT_LENGTHS_ENTRY],
+                    )
+                ]
                 flight_mark = len(flight.records)
 
     def _save_checkpoint(round_index: int) -> None:
@@ -344,7 +358,12 @@ def _run_rounds(
             log["trace"] = obs.trace_records_since(trace_mark)
             trace_mark += len(log["trace"])
         if recording:
-            log["flight"] = flight.records[flight_mark:]
+            # Only the thin fields are JSON-packed; the frame carries
+            # the records' float vectors as one float64 array.
+            thin, vectors, lengths = pack_vectors(flight.records[flight_mark:])
+            log["flight"] = thin
+            arrays[f"{LOG_PREFIX}{FLIGHT_VECTORS_ENTRY}"] = vectors
+            arrays[f"{LOG_PREFIX}{FLIGHT_LENGTHS_ENTRY}"] = lengths
             flight_mark = len(flight.records)
         arrays[f"{LOG_PREFIX}json"] = pack_json(log)
         checkpointer.save(arrays)

@@ -12,7 +12,7 @@ from repro.analysis import (
 )
 from repro.datasets.synthetic import SyntheticConfig
 from repro.exceptions import ConfigurationError
-from repro.io import RunStore
+from repro.io.runstore import RunStore
 
 
 # ----------------------------------------------------------------------

@@ -369,7 +369,7 @@ def _assert_old_slot_refused(tmp_path, arrays, version):
 def test_a_version_1_slot_is_refused_with_the_version_message(tmp_path):
     """A slot in the old per-runner layout (``policy.*``/``env.*``) left
     by an older build is refused by version, never read as a current slot."""
-    assert CHECKPOINT_SCHEMA_VERSION == 3
+    assert CHECKPOINT_SCHEMA_VERSION == 4
     world = build_world(tiny_config())
     env = FaseaEnvironment(world, run_seed=0)
     arrays = {
@@ -406,6 +406,24 @@ def test_a_version_2_slot_is_refused_with_the_version_message(tmp_path):
     _assert_old_slot_refused(tmp_path, arrays, version=2)
 
 
+def test_a_version_3_slot_is_refused_with_the_version_message(tmp_path):
+    """A v3 head covers log frames whose flight records hold their
+    vectors as JSON text; it is refused by version, not misread."""
+    world = build_world(tiny_config())
+    env = FaseaEnvironment(world, run_seed=0)
+    _play_rounds(env, 10)
+    arrays = {
+        "t": np.array([10], dtype=np.int64),
+        "k_steps": np.zeros(0, dtype=np.int64),
+        "elapsed.UCB": np.zeros(1),
+        "k_taus.UCB": np.zeros(0),
+        "log_offset": np.array([0], dtype=np.int64),
+    }
+    arrays.update(pack_state("stream.", env.stream.state_dict()))
+    arrays.update(pack_state("plat.UCB.", env.platform.state_dict()))
+    _assert_old_slot_refused(tmp_path, arrays, version=3)
+
+
 # ----------------------------------------------------------------------
 # The head + log layout: crashes at every point of a save
 # ----------------------------------------------------------------------
@@ -421,7 +439,8 @@ class _Killed(Exception):
 def _checkpointed_run(out_dir, ckpt_dir, resume):
     """A flight-recorded, checkpointed three-policy run, as the CLI wires it.
 
-    Writes ``decisions.jsonl`` and ``metrics.json`` into ``out_dir``.
+    Writes ``decisions.jsonl``, ``decisions.f64`` and ``metrics.json``
+    into ``out_dir``.
     """
     config = tiny_config(horizon=_CRASH_HORIZON)
     obs = Instrumentation()
@@ -477,9 +496,9 @@ def golden_run(tmp_path_factory):
 
 def _assert_resumes_to_golden(golden_run, out_dir, ckpt_dir):
     _checkpointed_run(out_dir, ckpt_dir, resume=True)
-    assert (out_dir / "decisions.jsonl").read_bytes() == (
-        golden_run / "decisions.jsonl"
-    ).read_bytes()
+    for filename in ("decisions.jsonl", "decisions.f64"):
+        golden = (golden_run / filename).read_bytes()
+        assert golden and (out_dir / filename).read_bytes() == golden, filename
     assert _scrubbed_metrics(out_dir) == _scrubbed_metrics(golden_run)
     assert _scrubbed_metrics(out_dir)["counters"]["checkpoint.saves"] > 0
     assert not list(ckpt_dir.glob("*.ckpt.*"))  # every cell cleared its slot

@@ -2,9 +2,9 @@
 
 A checkpointed multi-policy run is SIGKILL'd mid-flight in a real
 subprocess, then resumed with ``--resume`` semantics; the resumed run's
-``decisions.jsonl``, per-policy rewards and scrubbed ``metrics.json``
-must be **byte-identical** to an uninterrupted run's — serially and
-under ``jobs=4``.
+``decisions.jsonl`` and ``decisions.f64``, per-policy rewards and
+scrubbed ``metrics.json`` must be **byte-identical** to an
+uninterrupted run's — serially and under ``jobs=4``.
 
 The kill is injected by monkeypatching ``RunCheckpointer.save`` in the
 driver subprocess *before* any pool exists: forked workers inherit the
@@ -175,6 +175,9 @@ def test_killed_run_resumes_byte_identically(tmp_path, jobs):
     golden_decisions = (golden_out / "decisions.jsonl").read_bytes()
     assert (victim_out / "decisions.jsonl").read_bytes() == golden_decisions
     assert golden_decisions.count(b"\n") > 4 * 300  # one record per round
+    golden_vectors = (golden_out / "decisions.f64").read_bytes()
+    assert golden_vectors  # the score vectors live here, bit-exact
+    assert (victim_out / "decisions.f64").read_bytes() == golden_vectors
     golden_rewards = (golden_out / "rewards.json").read_bytes()
     assert (victim_out / "rewards.json").read_bytes() == golden_rewards
     assert _scrubbed_metrics(victim_out) == _scrubbed_metrics(golden_out)
@@ -196,6 +199,7 @@ def test_completed_cells_replay_from_cache(tmp_path):
     assert not list(ckpt_dir.glob("*.ckpt.npz"))  # slots cleared
     baseline_rewards = (out_dir / "rewards.json").read_bytes()
     baseline_decisions = (out_dir / "decisions.jsonl").read_bytes()
+    baseline_vectors = (out_dir / "decisions.f64").read_bytes()
     baseline_metrics = _scrubbed_metrics(out_dir)
 
     replay_out = tmp_path / "replay"
@@ -203,4 +207,5 @@ def test_completed_cells_replay_from_cache(tmp_path):
     assert replay.returncode == 0, replay.stderr
     assert (replay_out / "rewards.json").read_bytes() == baseline_rewards
     assert (replay_out / "decisions.jsonl").read_bytes() == baseline_decisions
+    assert (replay_out / "decisions.f64").read_bytes() == baseline_vectors
     assert _scrubbed_metrics(replay_out) == baseline_metrics

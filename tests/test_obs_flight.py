@@ -1,14 +1,17 @@
 """Decision flight recorder guarantees.
 
 The tentpole promises, tested directly: recording changes no result
-bit, ``--jobs N`` produces byte-identical logs, a SIGKILL'd run leaves
-a longest-valid-prefix log, replay reproduces rewards bit-for-bit (and
-pinpoints tampering), and ``fasea obs diff`` flags choice drift.
+bit, vectors round-trip through the float64 sidecar bit for bit,
+``--jobs N`` produces byte-identical logs, a SIGKILL'd run (or a torn
+index line or sidecar) leaves a longest-valid-prefix log, replay
+reproduces rewards bit-for-bit (and pinpoints tampering, down to one
+flipped bit of one score), and ``fasea obs diff`` flags choice drift.
 """
 
 import json
 import os
 import signal
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +26,7 @@ from repro.obs.core import Instrumentation, use
 from repro.obs.flight import (
     DECISIONS_FILENAME,
     FLIGHT_SCHEMA_VERSION,
+    VECTORS_FILENAME,
     FlightBuffer,
     FlightRecorder,
     cell_record,
@@ -30,9 +34,12 @@ from repro.obs.flight import (
     flight_digest,
     load_flight,
     make_run_header,
+    pack_vectors,
     policy_digests,
+    record_bytes,
     record_line,
     rng_fingerprint,
+    unpack_vectors,
 )
 from repro.obs.replay import build_policy_from_spec, replay_flight, render_replay_report
 from repro.obs.trace import write_trace_jsonl
@@ -131,6 +138,136 @@ def test_rng_fingerprint_reads_without_advancing():
     assert rng_fingerprint(rng) != before
 
 
+def test_rng_fingerprint_is_a_function_of_the_state_alone():
+    """Equal states fingerprint equally (in this process and in a fresh
+    one with another hash seed); one draw changes the fingerprint."""
+    for bit_generator in (np.random.PCG64, np.random.MT19937):
+        rng = np.random.Generator(bit_generator(5))
+        rng.random(3)
+        twin = np.random.Generator(bit_generator(99))
+        twin.bit_generator.state = rng.bit_generator.state
+        assert rng_fingerprint(twin) == rng_fingerprint(rng)
+        assert len(rng_fingerprint(rng)) == 16
+        twin.standard_normal()
+        assert rng_fingerprint(twin) != rng_fingerprint(rng)
+    rng = np.random.default_rng(5)
+    rng.random(3)
+    script = (
+        "import numpy as np\n"
+        "from repro.obs.flight import rng_fingerprint\n"
+        "rng = np.random.default_rng(5)\n"
+        "rng.random(3)\n"
+        "print(rng_fingerprint(rng))\n"
+    )
+    for hash_seed in ("0", "12345"):
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={
+                **os.environ,
+                "PYTHONPATH": str(REPO_ROOT / "src"),
+                "PYTHONHASHSEED": hash_seed,
+            },
+        )
+        assert result.stdout.strip() == rng_fingerprint(rng)
+
+
+# ----------------------------------------------------------------------
+# The float64 sidecar
+# ----------------------------------------------------------------------
+def _bits(*patterns):
+    """float64 values with exact bit patterns (little-endian uint64s)."""
+    return np.frombuffer(struct.pack(f"<{len(patterns)}Q", *patterns), dtype="<f8")
+
+
+#: -0.0, the smallest and largest subnormals, a NaN with a payload,
+#: -inf, and 1/3 — values (or bits) that a text round trip can lose.
+EDGE_VALUES = np.concatenate([
+    _bits(0x8000000000000000, 0x0000000000000001, 0x000FFFFFFFFFFFFF,
+          0x7FF8000000000123, 0xFFF0000000000000),
+    np.array([1.0 / 3.0]),
+])
+
+
+def _edge_record(t):
+    return {
+        "kind": "decision",
+        "t": t,
+        "policy": "TS",
+        "chosen": [1],
+        "scores": EDGE_VALUES * t,
+        "theta_sample": EDGE_VALUES[::-1].copy(),
+    }
+
+
+def test_vectors_round_trip_bit_for_bit(tmp_path):
+    records = [_edge_record(t) for t in (1, 2)]
+    with FlightRecorder(tmp_path) as recorder:
+        recorder.extend(records)
+    loaded = load_flight(tmp_path).records
+    assert len(loaded) == 2
+    for original, back in zip(records, loaded):
+        for name in ("scores", "theta_sample"):
+            assert back[name].dtype == np.float64
+            assert back[name].tobytes() == original[name].tobytes()
+        assert record_bytes(back) == record_bytes(original)
+    assert np.signbit(loaded[0]["scores"][0]) and loaded[0]["scores"][0] == 0.0
+    # The JSON line holds no float vector, only its sidecar coordinates.
+    line = json.loads((tmp_path / DECISIONS_FILENAME).read_text().splitlines()[0])
+    assert "scores" not in line
+    assert line["vectors"] == {
+        "scores": [0, EDGE_VALUES.size],
+        "theta_sample": [8 * EDGE_VALUES.size, EDGE_VALUES.size],
+    }
+    assert (tmp_path / VECTORS_FILENAME).stat().st_size == 4 * 8 * EDGE_VALUES.size
+
+
+def test_checkpoint_frame_packing_round_trips_bit_for_bit():
+    records = [_edge_record(1), cell_record(3), _edge_record(2)]
+    thin, values, lengths = pack_vectors(records)
+    assert all("scores" not in record for record in thin)
+    assert values.dtype == np.float64 and lengths.shape == (3, 3)
+    rebuilt = unpack_vectors(json.loads(json.dumps(thin)), values, lengths)
+    assert [record_bytes(r) for r in rebuilt] == [record_bytes(r) for r in records]
+
+
+def _write_edge_log(directory, rounds=3):
+    with FlightRecorder(directory, run={"mode": "policies"}) as recorder:
+        recorder.extend(_edge_record(t) for t in range(1, rounds + 1))
+
+
+def test_torn_sidecar_recovers_longest_valid_prefix(tmp_path):
+    _write_edge_log(tmp_path)
+    sidecar = tmp_path / VECTORS_FILENAME
+    sidecar.write_bytes(sidecar.read_bytes()[:-3])  # the last vector is torn
+    with pytest.raises(ConfigurationError, match="holds only"):
+        load_flight(tmp_path)
+    recovered = load_flight(tmp_path, strict=False)
+    assert [r["t"] for r in recovered.decisions] == [1, 2]
+    assert recovered.decisions[1]["scores"].tobytes() == (EDGE_VALUES * 2).tobytes()
+
+
+def test_torn_index_line_recovers_longest_valid_prefix(tmp_path):
+    _write_edge_log(tmp_path)
+    index = tmp_path / DECISIONS_FILENAME
+    index.write_text(index.read_text()[:-20])  # the last line is torn
+    with pytest.raises(ConfigurationError):
+        load_flight(tmp_path)
+    recovered = load_flight(tmp_path, strict=False)
+    assert [r["t"] for r in recovered.decisions] == [1, 2]
+
+
+def test_version_1_log_is_refused(tmp_path, small_config):
+    v1_header = {"kind": "header", "schema_version": 1, "run": {"mode": "policies"}}
+    v1_decision = {"kind": "decision", "t": 1, "policy": "UCB", "scores": [0.5]}
+    write_trace_jsonl([v1_header, v1_decision], tmp_path / DECISIONS_FILENAME)
+    for strict in (True, False):
+        with pytest.raises(SchemaError, match="schema version 1.*re-record"):
+            load_flight(tmp_path, strict=strict)
+
+
 def test_recorder_refuses_use_after_close(tmp_path):
     recorder = FlightRecorder(tmp_path)
     recorder.record(cell_record(0))
@@ -144,10 +281,12 @@ def test_recorder_refuses_use_after_close(tmp_path):
 
 def test_recorder_truncates_stale_logs(tmp_path):
     (tmp_path / DECISIONS_FILENAME).write_text('{"kind": "stale"}\n')
+    (tmp_path / VECTORS_FILENAME).write_bytes(b"stale vectors")
     with FlightRecorder(tmp_path) as recorder:
         recorder.record(cell_record(7))
     records = load_flight(tmp_path).records
     assert records == [{"kind": "cell", "seed": 7}]
+    assert (tmp_path / VECTORS_FILENAME).read_bytes() == b""
 
 
 # ----------------------------------------------------------------------
@@ -180,9 +319,10 @@ def _record_via_cells(directory, config, jobs):
 def test_parallel_log_is_byte_identical_to_serial(tmp_path, small_config):
     _record_via_cells(tmp_path / "serial", small_config, jobs=1)
     _record_via_cells(tmp_path / "pool", small_config, jobs=2)
-    serial = (tmp_path / "serial" / DECISIONS_FILENAME).read_bytes()
-    pooled = (tmp_path / "pool" / DECISIONS_FILENAME).read_bytes()
-    assert serial == pooled
+    for filename in (DECISIONS_FILENAME, VECTORS_FILENAME):
+        serial = (tmp_path / "serial" / filename).read_bytes()
+        pooled = (tmp_path / "pool" / filename).read_bytes()
+        assert serial and serial == pooled, filename
 
 
 # ----------------------------------------------------------------------
@@ -327,6 +467,20 @@ def test_cli_replay_exit_codes(tmp_path, small_config, capsys):
     path.write_text("\n".join(lines) + "\n")
     assert cli_main(["obs", "replay", str(tmp_path), "--diff"]) == 1
     assert "first divergence" in capsys.readouterr().out
+
+
+def test_cli_replay_fails_on_one_flipped_sidecar_bit(tmp_path, small_config, capsys):
+    _record_log(tmp_path, small_config, _specs("UCB"))
+    line = json.loads((tmp_path / DECISIONS_FILENAME).read_text().splitlines()[7])
+    assert line["t"] == 7
+    offset, _ = line["vectors"]["scores"]
+    sidecar = tmp_path / VECTORS_FILENAME
+    data = bytearray(sidecar.read_bytes())
+    data[offset] ^= 0x01  # the lowest mantissa bit of round 7's first score
+    sidecar.write_bytes(bytes(data))
+    assert cli_main(["obs", "replay", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "first divergence at round t=7" in out
 
 
 def test_cli_summary_renders_flight_section(tmp_path, small_config, capsys):
