@@ -240,18 +240,10 @@ def measure_streaming_overhead(horizon: int = 150) -> dict:
     config = bench_config(horizon=horizon)
     world = _build(config)
 
-    def _timed_run(obs=None, profile=None, stream=None):
+    def _timed_run(obs=None):
         policy = UcbPolicy(dim=config.dim)
         start = time.perf_counter()
-        history = run_policy(
-            policy,
-            world,
-            horizon=horizon,
-            run_seed=0,
-            obs=obs,
-            profile=profile,
-            stream=stream,
-        )
+        history = run_policy(policy, world, horizon=horizon, run_seed=0, obs=obs)
         return time.perf_counter() - start, history.total_reward
 
     off_seconds, off_reward = _timed_run()
@@ -261,10 +253,10 @@ def measure_streaming_overhead(horizon: int = 150) -> dict:
         sink = StreamingSink(
             tmp, obs, flush_every_rounds=50, flush_every_seconds=None
         )
+        obs.profile_config = ProfileConfig(sample_every=16)
+        obs.stream_sink = sink
         with sink:
-            full_seconds, full_reward = _timed_run(
-                obs=obs, profile=ProfileConfig(sample_every=16), stream=sink
-            )
+            full_seconds, full_reward = _timed_run(obs=obs)
     if not off_reward == on_reward == full_reward:  # pragma: no cover - guard
         raise AssertionError("observatory modes diverged in total reward")
     return {

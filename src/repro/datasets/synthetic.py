@@ -187,7 +187,12 @@ class SyntheticWorld:
 
     def accept_probabilities(self, contexts: np.ndarray) -> np.ndarray:
         """Acceptance probabilities ``clip(x^T theta, 0, 1)``."""
-        return np.clip(self.expected_rewards(contexts), 0.0, 1.0)
+        return accept_probabilities(contexts, self.theta)
+
+
+def accept_probabilities(contexts: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The FASEA feedback model: event ``v`` is accepted w.p. ``clip(x_v^T theta, 0, 1)``."""
+    return np.clip(np.atleast_2d(contexts) @ theta, 0.0, 1.0)
 
 
 def build_world(config: SyntheticConfig) -> SyntheticWorld:

@@ -119,6 +119,13 @@ class FixedUserStream(UserArrivalStream):
     def next_user(self) -> User:
         return self._user
 
+    def state_dict(self) -> Dict[str, object]:
+        """No dynamic state: every arrival is the same user."""
+        return {}
+
+    def restore_state(self, state: Dict[str, object]) -> None:
+        """Nothing to restore (see :meth:`state_dict`)."""
+
 
 class RosterUserStream(UserArrivalStream):
     """Cycle through a fixed roster of users in order.
@@ -137,3 +144,11 @@ class RosterUserStream(UserArrivalStream):
         user = self._roster[self._position % len(self._roster)]
         self._position += 1
         return user
+
+    def state_dict(self) -> Dict[str, object]:
+        """The number of arrivals so far (the roster itself is static)."""
+        return {"position": self._position}
+
+    def restore_state(self, state: Dict[str, object]) -> None:
+        """Restore a snapshot from :meth:`state_dict` (exact position)."""
+        self._position = int(state["position"])  # type: ignore[arg-type]

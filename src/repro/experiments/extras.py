@@ -11,14 +11,19 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bandits import RandomPolicy, RoundView, UcbPolicy
-from repro.datasets.synthetic import SyntheticConfig, build_world
-from repro.ebsn.platform import Platform
-from repro.ebsn.users import User
+from repro.bandits import RandomPolicy, UcbPolicy
+from repro.datasets.synthetic import (
+    SyntheticConfig,
+    SyntheticWorld,
+    accept_probabilities,
+    build_world,
+)
+from repro.ebsn.events import EventStore
+from repro.ebsn.users import RosterUserStream, User
 from repro.experiments.reporting import ExperimentResult, TableBlock
 from repro.extensions import (
     DynamicEventSchedule,
@@ -34,6 +39,7 @@ from repro.mab import (
     run_mab,
 )
 from repro.mab.arms import random_arms
+from repro.simulation.fleet import _run_rounds
 
 
 def mab_experiment(
@@ -80,38 +86,34 @@ def mab_experiment(
     )
 
 
-def _roster_accept_ratio(policy, world, thetas, horizon: int) -> float:
-    """Play a 3-user roster with opposed tastes against one policy."""
-    platform = Platform(world.make_store(), world.conflicts)
-    sampler = world.make_context_sampler()
-    rng = make_rng(1234)
-    accepted = arranged = 0
-    for t in range(1, horizon + 1):
-        user = User(user_id=(t - 1) % len(thetas), capacity=3)
-        contexts = sampler.sample(rng)
-        view = RoundView(
-            time_step=t,
-            user=user,
-            contexts=contexts,
-            remaining_capacities=platform.store.remaining_capacities,
-            conflicts=platform.conflicts,
+class _RosterSource:
+    """Users taking turns, each accepting by their own ``theta``.
+
+    Each round draws the contexts, then the thresholds, from one
+    ``make_rng(seed)`` stream.
+    """
+
+    theta = None
+
+    def __init__(self, world: SyntheticWorld, thetas: Sequence[np.ndarray], seed: int) -> None:
+        self.world = world
+        self.conflicts = world.conflicts
+        self.thetas = thetas
+        self.arrivals = RosterUserStream(
+            [User(user_id=index, capacity=3) for index in range(len(thetas))]
         )
-        arrangement = policy.select(view)
-        probabilities = np.clip(contexts @ thetas[user.user_id], 0.0, 1.0)
-        thresholds = rng.uniform(size=contexts.shape[0])
-        entry = platform.commit(
-            user,
-            arrangement,
-            feedback=lambda e: bool(thresholds[e] < probabilities[e]),
-        )
-        policy.observe(
-            view,
-            arrangement,
-            [1.0 if e in set(entry.accepted) else 0.0 for e in arrangement],
-        )
-        accepted += entry.reward
-        arranged += len(arrangement)
-    return accepted / arranged if arranged else 0.0
+        self.sampler = world.make_context_sampler()
+        self.rng = make_rng(seed)
+
+    def make_store(self) -> EventStore:
+        return self.world.make_store()
+
+    def draw(self) -> Tuple[User, np.ndarray, np.ndarray]:
+        user = self.arrivals.next_user()
+        contexts = self.sampler.sample(self.rng)
+        thresholds = self.rng.uniform(size=contexts.shape[0])
+        theta = self.thetas[user.user_id]
+        return user, contexts, thresholds < accept_probabilities(contexts, theta)
 
 
 def extensions_experiment(
@@ -125,14 +127,18 @@ def extensions_experiment(
     world = build_world(config)
     thetas = [world.theta, -world.theta, np.roll(world.theta, 3)]
 
-    shared_ratio = _roster_accept_ratio(
-        UcbPolicy(dim=config.dim), world, thetas, horizon
-    )
-    pooled_ratio = _roster_accept_ratio(
-        PerUserPolicyPool(lambda user_id: UcbPolicy(dim=config.dim)),
-        world,
-        thetas,
+    roster = _run_rounds(
+        {
+            "shared UCB": UcbPolicy(dim=config.dim),
+            "per-user UCB pool": PerUserPolicyPool(
+                lambda user_id: UcbPolicy(dim=config.dim)
+            ),
+        },
+        _RosterSource(world, thetas, seed=1234),
         horizon,
+        span_name="roster",
+        span_attrs={"horizon": horizon},
+        step_spans=True,
     )
 
     schedule = DynamicEventSchedule.round_robin(
@@ -158,10 +164,7 @@ def extensions_experiment(
             TableBlock(
                 "Remark 1: 3 opposed users",
                 ["model", "accept_ratio"],
-                [
-                    ["shared UCB", shared_ratio],
-                    ["per-user UCB pool", pooled_ratio],
-                ],
+                [[key, history.overall_accept_ratio] for key, history in roster.items()],
             ),
             TableBlock(
                 "Remark 2: rotating event sets (2 phases)",

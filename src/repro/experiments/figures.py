@@ -33,7 +33,7 @@ from repro.simulation.history import default_checkpoints
 from repro.simulation.realdata import (
     full_knowledge_history,
     resolve_capacity,
-    run_real_policy,
+    run_real_fleet,
 )
 
 
@@ -383,9 +383,12 @@ def figure10(
     for mode in (5, "full"):
         mode_label = "cu=5" if mode == 5 else "cu=full"
         reference = full_knowledge_history(dataset, user, mode, regret_horizon)
-        for name in POLICY_NAMES:
-            policy = make_policy(name, dim=dataset.dim, seed=policy_seed)
-            history = run_real_policy(policy, dataset, user, mode, regret_horizon)
+        fleet = {
+            name: make_policy(name, dim=dataset.dim, seed=policy_seed)
+            for name in POLICY_NAMES
+        }
+        histories = run_real_fleet(fleet, dataset, user, mode, regret_horizon)
+        for name, history in histories.items():
             label = f"{name} {mode_label}"
             curves["accept_ratio_first_rounds"][label] = history.accept_ratio_at(
                 accept_checkpoints

@@ -22,6 +22,7 @@ from repro.metrics.resources import measure_policy_memory
 from repro.simulation.realdata import (
     full_knowledge_accept_ratio,
     resolve_capacity,
+    run_real_fleet,
     run_real_policy,
 )
 
@@ -142,14 +143,16 @@ def table7(
     headers = ["Algorithm"] + [f"u{u.user_id + 1}" for u in users]
     tables: List[TableBlock] = []
     for mode in (5, "full"):
-        rows: List[List[object]] = []
-        for name in POLICY_NAMES:
-            ratios = []
-            for user in users:
-                policy = make_policy(name, dim=dataset.dim, seed=policy_seed)
-                history = run_real_policy(policy, dataset, user, mode, horizon)
-                ratios.append(round(history.overall_accept_ratio, 2))
-            rows.append([name] + ratios)
+        ratios: Dict[str, List[float]] = {name: [] for name in POLICY_NAMES}
+        for user in users:
+            fleet = {
+                name: make_policy(name, dim=dataset.dim, seed=policy_seed)
+                for name in POLICY_NAMES
+            }
+            histories = run_real_fleet(fleet, dataset, user, mode, horizon)
+            for name, history in histories.items():
+                ratios[name].append(round(history.overall_accept_ratio, 2))
+        rows: List[List[object]] = [[name] + ratios[name] for name in POLICY_NAMES]
         rows.append(
             ["Full Kn."]
             + [

@@ -7,23 +7,26 @@ when a user logs in on Friday, V could be the set of events on the
 weekend."
 
 The schedule partitions the horizon into phases, each exposing a subset
-of the catalogue.  Inactive events are presented to policies with zero
-remaining capacity, so Oracle-Greedy skips them without any policy
-changes; the shared model still learns from whatever *is* arranged.
+of the catalogue.  :class:`DynamicEventPolicy` presents inactive events
+to the policy it wraps with zero remaining capacity, so Oracle-Greedy
+skips them without any policy changes; the shared model still learns
+from whatever *is* arranged.  The wrapper is itself a policy, so the
+run is a plain :func:`~repro.simulation.runner.run_policy`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.bandits.base import Policy, RoundView
 from repro.datasets.synthetic import SyntheticWorld
 from repro.exceptions import ConfigurationError
-from repro.simulation.environment import FaseaEnvironment
+from repro.obs.core import InstrumentationLike
 from repro.simulation.history import History
+from repro.simulation.runner import run_policy
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,56 @@ class DynamicEventSchedule:
         return cls(masks=tuple(masks), phase_length=phase_length)
 
 
+class DynamicEventPolicy(Policy):
+    """Offer ``policy`` only the active events (inactive ones at capacity 0).
+
+    An arrangement holding an inactive event is refused; everything
+    else — telemetry, decision capture, estimates — is the inner policy's.
+    """
+
+    def __init__(self, policy: Policy, schedule: DynamicEventSchedule) -> None:
+        self.policy = policy
+        self.schedule = schedule
+        self.name = f"{policy.name}+dynamic"
+
+    def _masked(self, view: RoundView) -> RoundView:
+        mask = self.schedule.active_mask(view.time_step)
+        return replace(view, remaining_capacities=np.where(mask, view.remaining_capacities, 0.0))
+
+    def select(self, view: RoundView) -> List[int]:
+        arrangement = self.policy.select(self._masked(view))
+        if not self.schedule.active_mask(view.time_step)[arrangement].all():
+            raise ConfigurationError(
+                f"policy arranged an inactive event at t={view.time_step}: {arrangement}"
+            )
+        return arrangement
+
+    def observe(self, view: RoundView, arranged: Sequence[int], rewards: Sequence[float]) -> None:
+        self.policy.observe(self._masked(view), arranged, rewards)
+
+    def bind_obs(self, obs: InstrumentationLike, label: Optional[str] = None) -> None:
+        super().bind_obs(obs, label)
+        self.policy.bind_obs(obs, label=self._obs_label)
+
+    def enable_decision_capture(self, enabled: bool = True) -> None:
+        self.policy.enable_decision_capture(enabled)
+
+    def decision_info(self) -> Optional[Dict[str, Any]]:
+        return self.policy.decision_info()
+
+    def theta_estimate(self) -> Optional[np.ndarray]:
+        return self.policy.theta_estimate()
+
+    def predicted_scores(self, contexts: np.ndarray) -> np.ndarray:
+        return self.policy.predicted_scores(contexts)
+
+    def ranking_scores(self, contexts: np.ndarray, time_step: int) -> np.ndarray:
+        return self.policy.ranking_scores(contexts, time_step)
+
+    def reset(self) -> None:
+        self.policy.reset()
+
+
 def run_dynamic_policy(
     policy: Policy,
     world: SyntheticWorld,
@@ -91,31 +144,4 @@ def run_dynamic_policy(
             f"schedule covers {schedule.num_events} events but world has "
             f"{world.config.num_events}"
         )
-    horizon = horizon if horizon is not None else world.config.horizon
-    env = FaseaEnvironment(world, run_seed=run_seed)
-    rewards = np.zeros(horizon)
-    arranged_counts = np.zeros(horizon)
-    for t in range(1, horizon + 1):
-        view = env.begin_round()
-        mask = schedule.active_mask(t)
-        masked_view = RoundView(
-            time_step=view.time_step,
-            user=view.user,
-            contexts=view.contexts,
-            remaining_capacities=np.where(mask, view.remaining_capacities, 0.0),
-            conflicts=view.conflicts,
-        )
-        arrangement = policy.select(masked_view)
-        if any(not mask[event_id] for event_id in arrangement):
-            raise ConfigurationError(
-                f"policy arranged an inactive event at t={t}: {arrangement}"
-            )
-        round_rewards, _ = env.commit(arrangement)
-        policy.observe(masked_view, arrangement, round_rewards)
-        rewards[t - 1] = sum(round_rewards)
-        arranged_counts[t - 1] = len(arrangement)
-    return History(
-        policy_name=f"{policy.name}+dynamic",
-        rewards=rewards,
-        arranged=arranged_counts,
-    )
+    return run_policy(DynamicEventPolicy(policy, schedule), world, horizon, run_seed)

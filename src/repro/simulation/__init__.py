@@ -8,12 +8,12 @@
   of Section 5.2's final experiments (no capacities/conflicts, one
   event per round).
 * :mod:`~repro.simulation.fleet` — the one round engine: steps a dict
-  of policies over one shared stream
+  of policies over one shared round source
   (:func:`~repro.simulation.fleet.run_policy_fleet`).
   :func:`~repro.simulation.runner.run_policy` is its fleet of one and
   returns a single :class:`~repro.simulation.history.History`.
-* :mod:`~repro.simulation.realdata` — the Damai replay loop (same user
-  and contexts every round, deterministic feedback).
+* :mod:`~repro.simulation.realdata` — the Damai source (same user and
+  contexts every round, deterministic feedback) and its runs.
 """
 
 from repro.simulation.basic import build_basic_world

@@ -17,12 +17,14 @@ asked.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from repro.bandits.base import RoundView
 from repro.datasets.synthetic import SyntheticWorld
+from repro.ebsn.conflicts import BaseConflictGraph
+from repro.ebsn.events import EventStore
 from repro.ebsn.ledger import LedgerEntry
 from repro.ebsn.platform import Platform
 from repro.ebsn.users import User
@@ -37,41 +39,65 @@ ENV_ARRANGED_EVENTS_METRIC = "env.arranged_events"
 ENV_ACCEPTED_EVENTS_METRIC = "env.accepted_events"
 
 
+class RoundSource(Protocol):
+    """Where the round engine reads rounds from; ``theta`` is ``None`` without a true one."""
+
+    @property
+    def conflicts(self) -> BaseConflictGraph:
+        ...
+
+    @property
+    def theta(self) -> Optional[np.ndarray]:
+        ...
+
+    def make_store(self) -> EventStore:
+        ...
+
+    def draw(self) -> Tuple[User, np.ndarray, np.ndarray]:
+        """The next round's user, context matrix and per-event acceptance mask."""
+
+
 class RoundStream:
     """The random inputs of one run: who arrives, what they see, their coins.
 
     Built from ``(world, run_seed)`` alone, so every consumer of one
     seed — :class:`FaseaEnvironment`, the fleet engine, the trace
     recorder — sees the same users, contexts and acceptance thresholds.
-    Each :meth:`draw` consumes one round, always in the same order.
+    Each draw consumes one round, always in the same order.  It is the
+    :class:`RoundSource` of every synthetic run.
     """
 
     def __init__(self, world: SyntheticWorld, run_seed: int = 0) -> None:
         root = np.random.SeedSequence(entropy=run_seed, spawn_key=(world.config.seed,))
         arrival_seq, context_seq, feedback_seq = root.spawn(3)
+        self.world = world
+        self.conflicts = world.conflicts
+        self.theta = world.theta
         self.arrivals = world.make_arrivals(np.random.default_rng(arrival_seq))
         self.context_rng = np.random.default_rng(context_seq)
         self.feedback_rng = np.random.default_rng(feedback_seq)
         self.sampler = world.make_context_sampler()
         self.num_events = len(world.capacities)
 
-    def draw(self) -> Tuple[User, np.ndarray, np.ndarray]:
+    def make_store(self) -> EventStore:
+        return self.world.make_store()
+
+    def draw_inputs(self) -> Tuple[User, np.ndarray, np.ndarray]:
         """The next round's user, context matrix and acceptance thresholds."""
         user = self.arrivals.next_user()
         contexts = self.sampler.sample(self.context_rng)
         thresholds = self.feedback_rng.uniform(size=self.num_events)
         return user, contexts, thresholds
 
+    def draw(self) -> Tuple[User, np.ndarray, np.ndarray]:
+        """The next round's user, contexts and ``thresholds < clip(x^T theta, 0, 1)``."""
+        user, contexts, thresholds = self.draw_inputs()
+        return user, contexts, thresholds < self.world.accept_probabilities(contexts)
+
     def state_dict(self) -> Dict[str, object]:
         """Exact positions of the three streams (arrival bookkeeping included)."""
-        arrivals_state = getattr(self.arrivals, "state_dict", None)
-        if arrivals_state is None:
-            raise ConfigurationError(
-                f"{type(self.arrivals).__name__} does not support "
-                "checkpointing (no state_dict)"
-            )
         state: Dict[str, object] = {
-            f"arrivals_{key}": value for key, value in arrivals_state().items()
+            f"arrivals_{key}": value for key, value in self.arrivals.state_dict().items()
         }
         state["context_rng"] = capture_rng_state(self.context_rng)
         state["feedback_rng"] = capture_rng_state(self.feedback_rng)
@@ -79,13 +105,7 @@ class RoundStream:
 
     def restore_state(self, state: Mapping[str, object]) -> None:
         """Restore a :meth:`state_dict` snapshot (other keys are ignored)."""
-        restore = getattr(self.arrivals, "restore_state", None)
-        if restore is None:
-            raise ConfigurationError(
-                f"{type(self.arrivals).__name__} does not support "
-                "checkpointing (no restore_state)"
-            )
-        restore(
+        self.arrivals.restore_state(
             {
                 key[len("arrivals_") :]: value
                 for key, value in state.items()
@@ -174,7 +194,7 @@ class FaseaEnvironment:
             )
         if self._obs.enabled:
             self._obs.counter(ENV_ROUNDS_METRIC).inc()
-        user, contexts, thresholds = self.stream.draw()
+        user, contexts, accepted = self.stream.draw()
         view = RoundView(
             time_step=self.platform.time_step + 1,
             user=user,
@@ -182,32 +202,23 @@ class FaseaEnvironment:
             remaining_capacities=self.platform.store.remaining_capacities,
             conflicts=self.platform.conflicts,
         )
-        self._pending = (view, thresholds)
+        self._pending = (view, accepted)
         return view
 
     def commit(self, arranged: Sequence[int]) -> Tuple[List[float], LedgerEntry]:
         """Commit an arrangement, returning per-event rewards and the entry.
 
-        The threshold-vs-probability feedback comparison is vectorised
-        over the arranged ids and handed to the platform as a
-        precomputed lookup instead of a per-event Python lambda.  (The
-        probabilities themselves are computed with the same full
-        ``|V| x d`` matvec as the round engine, keeping the two paths
-        bit-for-bit interchangeable.)
+        The feedback is the round's acceptance mask (drawn with the
+        round, exactly as the round engine draws it) at the arranged
+        ids, handed to the platform as a precomputed lookup.
         """
         if self._pending is None:
             raise ConfigurationError("commit called before begin_round")
-        view, thresholds = self._pending
+        view, accepted = self._pending
         self._pending = None
         arranged = list(arranged)
-        if arranged:
-            ids = np.asarray(arranged, dtype=int)
-            probabilities = self.world.accept_probabilities(view.contexts)
-            accepted_mask = thresholds[ids] < probabilities[ids]
-            decisions = dict(zip(arranged, accepted_mask.tolist()))
-        else:
-            accepted_mask = np.zeros(0, dtype=bool)
-            decisions = {}
+        accepted_mask = accepted[np.asarray(arranged, dtype=int)]
+        decisions = dict(zip(arranged, accepted_mask.tolist()))
         entry = self.platform.commit(
             view.user, arranged, feedback=decisions.__getitem__
         )

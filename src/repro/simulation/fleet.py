@@ -1,15 +1,15 @@
-"""The round engine: a dict of policies stepped over one shared stream.
+"""The round engine: a dict of policies stepped over one shared source.
 
-Every synthetic FASEA run — one policy or a whole suite — goes through
-:func:`_run_rounds`, the standard loop of Algorithms 1/3/4 (reveal,
-select, commit, observe).  Each round's user, context matrix and
-acceptance thresholds are drawn **once** from a
-:class:`~repro.simulation.environment.RoundStream` and every policy
+Every FASEA run — synthetic, a recorded trace, a real-data user, a
+roster — goes through :func:`_run_rounds`, the standard loop of
+Algorithms 1/3/4 (reveal, select, commit, observe).  Each round's user,
+context matrix and acceptance mask are drawn **once** from a
+:class:`~repro.simulation.environment.RoundSource` and every policy
 steps against them in lockstep, each with its own platform (capacities
-evolve per policy, as they must).  The draws are the ones
+evolve per policy, as they must).  The synthetic source,
+:class:`~repro.simulation.environment.RoundStream`, makes the draws
 :class:`~repro.simulation.environment.FaseaEnvironment` makes, so a
-fleet run is bit-for-bit identical to running each policy alone with
-the same ``(world, run_seed)``.
+fleet run is bit-for-bit identical to running each policy alone.
 
 The engine owns everything that rides along the loop: select/observe
 timing (``History.avg_round_time``), Kendall tracking, the sampled-
@@ -18,15 +18,15 @@ evaluation, streaming flushes and one round-granular checkpoint.  None
 of them touches an RNG stream, so results are bit-identical with any of
 them on or off.
 
-Two public entry points call it: :func:`run_policy_fleet` here and
-:func:`~repro.simulation.runner.run_policy`, a fleet of one.  Neither
-calls the other, so each keeps its own outer span.
+The synthetic entry points are :func:`run_policy_fleet` here and
+:func:`~repro.simulation.runner.run_policy`, a fleet of one.  Each
+caller names its own outer span.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,13 +46,12 @@ from repro.obs.health import (
     REWARD_METRIC,
     THETA_DRIFT_METRIC,
 )
-from repro.obs.profile import ProfileConfig
-from repro.obs.stream import StreamingSink
 from repro.simulation.environment import (
     ENV_ACCEPTED_EVENTS_METRIC,
     ENV_ARRANGED_EVENTS_METRIC,
     ENV_COMMITS_METRIC,
     ENV_ROUNDS_METRIC,
+    RoundSource,
     RoundStream,
 )
 from repro.simulation.history import History, default_checkpoints
@@ -74,6 +73,9 @@ OPT_KEY = "OPT"
 FLIGHT_VECTORS_ENTRY = "flight_f64"
 FLIGHT_LENGTHS_ENTRY = "flight_lengths"
 
+#: The Kendall diagnostic's rounds, evaluation contexts and true scores.
+KendallInputs = Tuple[FrozenSet[int], np.ndarray, np.ndarray]
+
 
 def policy_suite(
     world: SyntheticWorld, policy_names: Sequence[str], policy_seed: int
@@ -84,10 +86,28 @@ def policy_suite(
         suite[name] = make_policy(name, dim=world.config.dim, seed=policy_seed)
     return suite
 
+
+def kendall_inputs(
+    world: SyntheticWorld,
+    horizon: int,
+    track_kendall: bool,
+    kendall_checkpoints: Optional[Sequence[int]],
+    eval_contexts: Optional[np.ndarray],
+) -> Optional[KendallInputs]:
+    """The Kendall inputs from ``world`` (paper grid, evaluation set); ``None`` when off."""
+    if not track_kendall:
+        return None
+    if kendall_checkpoints is None:
+        kendall_checkpoints = default_checkpoints(horizon)
+    if eval_contexts is None:
+        eval_contexts = world.evaluation_contexts()
+    return frozenset(kendall_checkpoints), eval_contexts, world.expected_rewards(eval_contexts)
+
+
 def _record_policy_round(
     obs: InstrumentationLike,
     policy: Policy,
-    theta_true: np.ndarray,
+    theta_true: Optional[np.ndarray],
     store: EventStore,
     entry: LedgerEntry,
     time_step: int,
@@ -98,9 +118,10 @@ def _record_policy_round(
 
     Records per-policy select/observe timings, the per-round reward
     series, the estimate drift ``||theta^ - theta||`` (policies without
-    a model skip it), and — the paper's Section 6.2 diagnostic — a
-    capacity-exhaustion event whenever an accepted registration drains
-    an event's last seat.  Never touches any RNG stream.
+    a model, and sources without a single true ``theta``, skip it),
+    and — the paper's Section 6.2 diagnostic — a capacity-exhaustion
+    event whenever an accepted registration drains an event's last
+    seat.  Never touches any RNG stream.
     """
     obs.timer(policy.obs_name(SELECT_SECONDS_METRIC)).observe(select_seconds)
     obs.timer(policy.obs_name(OBSERVE_SECONDS_METRIC)).observe(observe_seconds)
@@ -108,7 +129,7 @@ def _record_policy_round(
     obs.series(policy.obs_name(REWARD_METRIC)).append(time_step, reward)
     drift: Optional[float] = None
     estimate = policy.theta_estimate()
-    if estimate is not None:
+    if estimate is not None and theta_true is not None:
         drift = float(np.linalg.norm(estimate - theta_true))
         obs.series(policy.obs_name(THETA_DRIFT_METRIC)).append(time_step, drift)
     label = policy._obs_label or policy.name
@@ -182,35 +203,30 @@ def _open_checkpointer(
 
 def _run_rounds(
     policies: Dict[str, Policy],
-    world: SyntheticWorld,
+    source: RoundSource,
     horizon: int,
-    run_seed: int,
-    track_kendall: bool,
-    kendall_checkpoints: Optional[Sequence[int]],
-    eval_contexts: Optional[np.ndarray],
-    obs: Optional[InstrumentationLike],
-    profile: Optional[ProfileConfig],
-    stream: Optional[StreamingSink],
-    flight: Optional[object],
-    checkpoint: Optional["CellCheckpointSpec"],
     span_name: str,
     span_attrs: Dict[str, Any],
     step_spans: bool,
+    kendall: Optional[KendallInputs] = None,
+    obs: Optional[InstrumentationLike] = None,
+    flight: Optional[object] = None,
+    checkpoint: Optional["CellCheckpointSpec"] = None,
 ) -> Dict[str, History]:
-    """Step every policy over one shared stream; histories keyed like ``policies``.
+    """Step every policy over one shared source; histories keyed like ``policies``.
 
     The dict keys label each policy's telemetry (``policy.<key>.*``),
     its decision records and its history.  ``span_name``/``span_attrs``
     name the run's outer span.  On profiled rounds each policy's
     ``select``/``commit``/``observe`` phases get spans under the
     ``round`` span — inside a ``step:<key>`` span when ``step_spans``.
+    Profiler, streaming sink and (by default) flight recorder are the
+    ones attached to ``obs``.  ``checkpoint`` needs a :class:`RoundStream`.
     """
     obs = obs if obs is not None else current()
     instrumented = obs.enabled
-    if profile is None:
-        profile = getattr(obs, "profile_config", None)
-    if stream is None:
-        stream = getattr(obs, "stream_sink", None)
+    profile = getattr(obs, "profile_config", None)
+    stream = getattr(obs, "stream_sink", None)
     if flight is None:
         flight = getattr(obs, "flight_recorder", None)
     recording = flight is not None
@@ -224,25 +240,17 @@ def _run_rounds(
             if recording:
                 policy.enable_decision_capture(True)
 
-    source = RoundStream(world, run_seed=run_seed)
-    platforms = {key: Platform(world.make_store(), world.conflicts) for key in policies}
+    platforms = {key: Platform(source.make_store(), source.conflicts) for key in policies}
     rewards = {key: np.zeros(horizon) for key in policies}
     arranged_counts = {key: np.zeros(horizon) for key in policies}
     elapsed = {key: 0.0 for key in policies}
 
-    checkpoint_set = frozenset()
+    track_kendall = kendall is not None
+    checkpoint_set: FrozenSet[int] = frozenset()
     steps: List[int] = []
     taus: Dict[str, List[float]] = {key: [] for key in policies}
-    true_scores: Optional[np.ndarray] = None
-    if track_kendall:
-        checkpoint_set = frozenset(
-            kendall_checkpoints
-            if kendall_checkpoints is not None
-            else default_checkpoints(horizon)
-        )
-        if eval_contexts is None:
-            eval_contexts = world.evaluation_contexts()
-        true_scores = world.expected_rewards(eval_contexts)
+    if kendall is not None:
+        checkpoint_set, eval_contexts, true_scores = kendall
 
     start_round = 0
     checkpointer = None
@@ -260,6 +268,11 @@ def _run_rounds(
             unpack_state,
         )
 
+        if not isinstance(source, RoundStream):
+            raise ConfigurationError(
+                "round checkpointing needs a synthetic RoundStream source "
+                f"(got {type(source).__name__})"
+            )
         checkpointer = _open_checkpointer(checkpoint, obs, recording, flight)
         # What the log already holds: the next frame carries only the
         # ledger entries (one per round; rewards and arranged counts
@@ -377,7 +390,7 @@ def _run_rounds(
         env_accepted = obs.counter(ENV_ACCEPTED_EVENTS_METRIC)
 
     def _step(
-        key: str, policy: Policy, t: int, user, contexts, accepts, profiler
+        key: str, policy: Policy, t: int, user, contexts, accepted, profiler
     ) -> None:
         """One policy's select-commit-observe against round ``t``.
 
@@ -399,7 +412,7 @@ def _run_rounds(
         with profiler.span("commit"):
             # Arrangements hold <= c_u events: scalar lookups beat
             # fancy-indexing round trips at that size.
-            accepted_flags = [bool(accepts[event_id]) for event_id in arrangement]
+            accepted_flags = [bool(accepted[event_id]) for event_id in arrangement]
             decisions = dict(zip(arrangement, accepted_flags))
             entry = platform.commit(user, arrangement, feedback=decisions.__getitem__)
         with profiler.span("observe"):
@@ -419,7 +432,7 @@ def _run_rounds(
             _record_policy_round(
                 obs,
                 policy,
-                world.theta,
+                source.theta,
                 platform.store,
                 entry,
                 t,
@@ -435,19 +448,18 @@ def _run_rounds(
             with profiler.span("round", t=t):
                 if instrumented:
                     env_rounds.inc()
-                user, contexts, thresholds = source.draw()
-                accepts = thresholds < world.accept_probabilities(contexts)
+                user, contexts, accepted = source.draw()
                 step_profiler = profiler if step_spans else NULL_OBS
                 for key, policy in policies.items():
                     with step_profiler.span(f"step:{key}"):
-                        _step(key, policy, t, user, contexts, accepts, profiler)
+                        _step(key, policy, t, user, contexts, accepted, profiler)
             if engine is not None:
                 # After every policy's step: one alert evaluation per
                 # round keeps firings flush-cadence-independent.
                 engine.evaluate_round(obs, t)
             if instrumented and stream is not None:
                 stream.maybe_flush(1)
-            if t in checkpoint_set and true_scores is not None:
+            if t in checkpoint_set:
                 steps.append(t)
                 for key, policy in policies.items():
                     estimated = policy.ranking_scores(eval_contexts, t)
@@ -490,8 +502,6 @@ def run_policy_fleet(
     kendall_checkpoints: Optional[Sequence[int]] = None,
     eval_contexts: Optional[np.ndarray] = None,
     obs: Optional[InstrumentationLike] = None,
-    profile: Optional[ProfileConfig] = None,
-    stream: Optional[StreamingSink] = None,
     flight: Optional[object] = None,
     checkpoint: Optional["CellCheckpointSpec"] = None,
 ) -> Dict[str, History]:
@@ -506,7 +516,7 @@ def run_policy_fleet(
 
     The remaining parameters are those of
     :func:`~repro.simulation.runner.run_policy`.  On sampled rounds of
-    ``profile`` every policy's phases run inside a ``step:<key>`` span,
+    the profiler every policy's phases run inside a ``step:<key>`` span,
     so folded stacks attribute self time per policy.  ``checkpoint``
     captures the shared stream once plus every policy's learned/RNG/
     platform state under per-key prefixes; a resumed fleet is
@@ -517,18 +527,15 @@ def run_policy_fleet(
     horizon = horizon if horizon is not None else world.config.horizon
     return _run_rounds(
         policies,
-        world,
+        RoundStream(world, run_seed=run_seed),
         horizon,
-        run_seed,
-        track_kendall,
-        kendall_checkpoints,
-        eval_contexts,
-        obs,
-        profile,
-        stream,
-        flight,
-        checkpoint,
         span_name="run_policy_fleet",
         span_attrs={"policies": list(policies), "horizon": horizon, "run_seed": run_seed},
         step_spans=True,
+        kendall=kendall_inputs(
+            world, horizon, track_kendall, kendall_checkpoints, eval_contexts
+        ),
+        obs=obs,
+        flight=flight,
+        checkpoint=checkpoint,
     )

@@ -16,17 +16,17 @@ with feedbacks of Yes".
 
 from __future__ import annotations
 
-from typing import Literal, Union
+from typing import Dict, Literal, Tuple, Union
 
 import numpy as np
 
-from repro.bandits.base import Policy, RoundView
+from repro.bandits.base import Policy
 from repro.datasets.damai import DamaiDataset, DamaiUser
 from repro.ebsn.events import EventStore
-from repro.ebsn.platform import Platform
-from repro.ebsn.users import User
+from repro.ebsn.users import FixedUserStream, User
 from repro.exceptions import ConfigurationError
 from repro.oracle.exact import exact_arrangement
+from repro.simulation.fleet import _run_rounds
 from repro.simulation.history import History
 
 CapacityMode = Union[int, Literal["full"]]
@@ -79,52 +79,53 @@ def full_knowledge_history(
     )
 
 
-def run_real_policy(
-    policy: Policy,
+class _RealUserSource:
+    """One Damai user: same user, contexts and ground-truth feedback every round."""
+
+    theta = None
+
+    def __init__(self, dataset: DamaiDataset, user: DamaiUser, capacity: int) -> None:
+        self.dataset = dataset
+        self.conflicts = dataset.conflicts
+        self.arrivals = FixedUserStream(User(user_id=user.user_id, capacity=capacity))
+        self.contexts = dataset.feature_matrix(user)
+        self.accepted = dataset.feedback_vector(user) > 0
+
+    def make_store(self) -> EventStore:
+        return EventStore(self.dataset.platform_events())
+
+    def draw(self) -> Tuple[User, np.ndarray, np.ndarray]:
+        return self.arrivals.next_user(), self.contexts, self.accepted
+
+
+def run_real_fleet(
+    policies: Dict[str, Policy],
     dataset: DamaiDataset,
     user: DamaiUser,
     mode: CapacityMode,
     horizon: int,
-) -> History:
-    """Replay ``policy`` against one user for ``horizon`` rounds.
+) -> Dict[str, History]:
+    """Replay every policy against one user for ``horizon`` rounds.
 
     Every round shows the identical context matrix; feedback is the
     user's deterministic ground truth.  The platform still validates
-    the conflict and capacity constraints each round.
+    the conflict and capacity constraints each round.  Histories are
+    keyed like ``policies``.
     """
     if horizon < 1:
         raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
-    capacity = resolve_capacity(user, mode)
-    contexts = dataset.feature_matrix(user)
-    feedback = dataset.feedback_vector(user)
-    platform = Platform(
-        EventStore(dataset.platform_events()), dataset.conflicts
+    return _run_rounds(
+        policies,
+        _RealUserSource(dataset, user, resolve_capacity(user, mode)),
+        horizon,
+        span_name="run_real_fleet",
+        span_attrs={"policies": list(policies), "user": user.user_id, "horizon": horizon},
+        step_spans=True,
     )
-    round_user = User(user_id=user.user_id, capacity=capacity)
 
-    rewards = np.zeros(horizon)
-    arranged_counts = np.zeros(horizon)
-    for t in range(1, horizon + 1):
-        view = RoundView(
-            time_step=t,
-            user=round_user,
-            contexts=contexts,
-            remaining_capacities=platform.store.remaining_capacities,
-            conflicts=platform.conflicts,
-        )
-        arrangement = policy.select(view)
-        entry = platform.commit(
-            round_user,
-            arrangement,
-            feedback=lambda event_id: bool(feedback[event_id] > 0),
-        )
-        policy.observe(
-            view,
-            arrangement,
-            [1.0 if e in entry.accepted else 0.0 for e in arrangement],
-        )
-        rewards[t - 1] = entry.reward
-        arranged_counts[t - 1] = len(arrangement)
-    return History(
-        policy_name=policy.name, rewards=rewards, arranged=arranged_counts
-    )
+
+def run_real_policy(
+    policy: Policy, dataset: DamaiDataset, user: DamaiUser, mode: CapacityMode, horizon: int
+) -> History:
+    """:func:`run_real_fleet` for one policy."""
+    return run_real_fleet({policy.name: policy}, dataset, user, mode, horizon)[policy.name]

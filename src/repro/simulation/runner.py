@@ -20,9 +20,8 @@ import numpy as np
 from repro.bandits.base import Policy
 from repro.datasets.synthetic import SyntheticWorld
 from repro.obs.core import InstrumentationLike
-from repro.obs.profile import ProfileConfig
-from repro.obs.stream import StreamingSink
-from repro.simulation.fleet import _run_rounds
+from repro.simulation.environment import RoundStream
+from repro.simulation.fleet import _run_rounds, kendall_inputs
 from repro.simulation.history import History
 
 if TYPE_CHECKING:  # import cycle: repro.io.__init__ reaches back here
@@ -38,8 +37,6 @@ def run_policy(
     kendall_checkpoints: Optional[Sequence[int]] = None,
     eval_contexts: Optional[np.ndarray] = None,
     obs: Optional[InstrumentationLike] = None,
-    profile: Optional[ProfileConfig] = None,
-    stream: Optional[StreamingSink] = None,
     flight: Optional[object] = None,
     checkpoint: Optional["CellCheckpointSpec"] = None,
 ) -> History:
@@ -70,16 +67,12 @@ def run_policy(
         (:func:`repro.obs.core.current`).  When enabled the run records
         per-round theta-drift, select/observe timings, oracle telemetry
         and capacity-exhaustion events — none of which touch the RNG
-        streams, so results are bit-identical either way.
-    profile:
-        Round-sampling profiler configuration.  On sampled rounds the
-        runner opens a ``round`` span with nested ``select`` /
-        ``commit`` / ``observe`` phase spans; requires an enabled
-        ``obs`` to have any effect.
-    stream:
-        Streaming telemetry sink; offered one ``maybe_flush`` per
-        round (only when instrumented) so long runs publish durable
-        ``metrics.json`` / ``trace.jsonl`` incrementally.
+        streams, so results are bit-identical either way.  Its
+        ``profile_config`` (round-sampling profiler: on sampled rounds
+        a ``round`` span with nested ``select`` / ``commit`` /
+        ``observe`` phase spans) and ``stream_sink`` (offered one
+        ``maybe_flush`` per round, so long runs publish durable
+        ``metrics.json`` / ``trace.jsonl`` incrementally) ride along.
     flight:
         Decision flight recorder (:class:`~repro.obs.flight.
         FlightRecorder` or :class:`~repro.obs.flight.FlightBuffer`);
@@ -102,19 +95,16 @@ def run_policy(
     horizon = horizon if horizon is not None else world.config.horizon
     histories = _run_rounds(
         {policy.name: policy},
-        world,
+        RoundStream(world, run_seed=run_seed),
         horizon,
-        run_seed,
-        track_kendall,
-        kendall_checkpoints,
-        eval_contexts,
-        obs,
-        profile,
-        stream,
-        flight,
-        checkpoint,
         span_name="run_policy",
         span_attrs={"policy": policy.name, "horizon": horizon, "run_seed": run_seed},
         step_spans=False,
+        kendall=kendall_inputs(
+            world, horizon, track_kendall, kendall_checkpoints, eval_contexts
+        ),
+        obs=obs,
+        flight=flight,
+        checkpoint=checkpoint,
     )
     return histories[policy.name]

@@ -17,14 +17,14 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.bandits.base import Policy, RoundView
-from repro.datasets.synthetic import SyntheticWorld
+from repro.bandits.base import Policy
+from repro.datasets.synthetic import SyntheticWorld, accept_probabilities
 from repro.ebsn.conflicts import BaseConflictGraph, ConflictGraph
 from repro.ebsn.events import EventStore
-from repro.ebsn.platform import Platform
 from repro.ebsn.users import User
 from repro.exceptions import ConfigurationError
 from repro.simulation.environment import RoundStream
+from repro.simulation.fleet import _run_rounds
 from repro.simulation.history import History
 
 #: Bumped when the on-disk layout changes incompatibly.
@@ -80,7 +80,8 @@ class Trace:
     def save(self, path: Union[str, Path]) -> Path:
         path = Path(path)
         if path.suffix != ".npz":
-            path = path.with_suffix(path.suffix + ".npz")
+            # On the name: with_suffix() would keep a trailing dot ("run..npz").
+            path = path.with_name(path.name.rstrip(".") + ".npz")
         path.parent.mkdir(parents=True, exist_ok=True)
         pairs = np.asarray(self.conflict_pairs, dtype=np.int64).reshape(-1, 2)
         np.savez_compressed(
@@ -129,7 +130,7 @@ def record_trace(
     contexts = np.zeros((horizon, stream.num_events, world.config.dim))
     thresholds = np.zeros((horizon, stream.num_events))
     for t in range(horizon):
-        user, contexts[t], thresholds[t] = stream.draw()
+        user, contexts[t], thresholds[t] = stream.draw_inputs()
         capacities[t] = user.capacity
     return Trace(
         user_capacities=capacities,
@@ -141,41 +142,37 @@ def record_trace(
     )
 
 
+class _TraceCursor:
+    """A trace as a round source: row ``t`` is round ``t + 1`` of the live run.
+
+    Acceptance uses the live run's formula, so replay equals it by construction.
+    """
+
+    def __init__(self, trace: Trace) -> None:
+        self.trace = trace
+        self.conflicts = trace.conflicts()
+        self.theta = trace.theta
+        self._row = 0
+
+    def make_store(self) -> EventStore:
+        return EventStore.from_capacities(self.trace.event_capacities.tolist())
+
+    def draw(self) -> Tuple[User, np.ndarray, np.ndarray]:
+        row = self._row
+        self._row += 1
+        contexts = self.trace.contexts[row]
+        user = User(user_id=row, capacity=int(self.trace.user_capacities[row]))
+        accepted = self.trace.thresholds[row] < accept_probabilities(contexts, self.theta)
+        return user, contexts, accepted
+
+
 def replay_trace(policy: Policy, trace: Trace) -> History:
     """Run ``policy`` against a recorded trace (platform-validated)."""
-    conflicts = trace.conflicts()
-    platform = Platform(
-        EventStore.from_capacities(trace.event_capacities.tolist()), conflicts
-    )
-    probabilities_all = np.clip(
-        np.einsum("tvd,d->tv", trace.contexts, trace.theta), 0.0, 1.0
-    )
-    rewards = np.zeros(trace.horizon)
-    arranged_counts = np.zeros(trace.horizon)
-    for t in range(trace.horizon):
-        user = User(user_id=t, capacity=int(trace.user_capacities[t]))
-        view = RoundView(
-            time_step=t + 1,
-            user=user,
-            contexts=trace.contexts[t],
-            remaining_capacities=platform.store.remaining_capacities,
-            conflicts=conflicts,
-        )
-        arrangement = policy.select(view)
-        row_thresholds = trace.thresholds[t]
-        row_probabilities = probabilities_all[t]
-        entry = platform.commit(
-            user,
-            arrangement,
-            feedback=lambda e: bool(row_thresholds[e] < row_probabilities[e]),
-        )
-        policy.observe(
-            view,
-            arrangement,
-            [1.0 if e in set(entry.accepted) else 0.0 for e in arrangement],
-        )
-        rewards[t] = entry.reward
-        arranged_counts[t] = len(arrangement)
-    return History(
-        policy_name=policy.name, rewards=rewards, arranged=arranged_counts
-    )
+    return _run_rounds(
+        {policy.name: policy},
+        _TraceCursor(trace),
+        trace.horizon,
+        span_name="replay_trace",
+        span_attrs={"policy": policy.name, "horizon": trace.horizon},
+        step_spans=False,
+    )[policy.name]

@@ -525,3 +525,43 @@ def test_cli_diff_flags_one_sided_logs(tmp_path, small_config, capsys):
         persist_run_telemetry(directory, Instrumentation())
     assert cli_main(["obs", "diff", str(base), str(cand)]) == 1
     assert "only in baseline" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# The trace, real-data and dynamic-event runs go through the round engine
+# ----------------------------------------------------------------------
+FOLDED_HORIZON = 40
+
+
+def _folded_run(kind, world, damai):
+    from repro.bandits import UcbPolicy
+    from repro.extensions import DynamicEventSchedule, run_dynamic_policy
+    from repro.simulation.realdata import run_real_policy
+    from repro.simulation.trace import record_trace, replay_trace
+
+    if kind == "trace":
+        trace = record_trace(world, horizon=FOLDED_HORIZON, run_seed=1)
+        return replay_trace(UcbPolicy(dim=world.config.dim), trace)
+    if kind == "real":
+        return run_real_policy(
+            UcbPolicy(dim=damai.dim), damai, damai.users[0], 5, FOLDED_HORIZON
+        )
+    schedule = DynamicEventSchedule.round_robin(
+        num_events=world.config.num_events, num_phases=2, phase_length=5
+    )
+    return run_dynamic_policy(
+        UcbPolicy(dim=world.config.dim), world, schedule, horizon=FOLDED_HORIZON
+    )
+
+
+@pytest.mark.parametrize("kind", ["trace", "real", "dynamic"])
+def test_folded_runs_record_one_decision_per_round(kind, small_world, damai):
+    obs = Instrumentation()
+    obs.flight_recorder = FlightBuffer()
+    with use(obs):
+        history = _folded_run(kind, small_world, damai)
+    decisions = [r for r in obs.flight_recorder.records if r["kind"] == "decision"]
+    assert [r["t"] for r in decisions] == list(range(1, FOLDED_HORIZON + 1))
+    assert {r["policy"] for r in decisions} == {history.policy_name}
+    assert [r["reward"] for r in decisions] == history.rewards.tolist()
+    assert all("scores" in r for r in decisions)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bandits import RandomPolicy, UcbPolicy
+from repro.bandits import POLICY_NAMES, OptPolicy, RandomPolicy, UcbPolicy, make_policy
 from repro.exceptions import ConfigurationError
 from repro.simulation.runner import run_policy
 from repro.simulation.trace import Trace, record_trace, replay_trace
@@ -41,10 +41,22 @@ def test_trace_shapes(trace):
     assert np.all(trace.user_capacities >= 1)
 
 
-def test_replay_equals_live_run(trace, small_world_module):
+def _fresh_policy(name, world):
+    if name == "OPT":
+        return OptPolicy(world.theta)
+    return make_policy(name, dim=world.config.dim, seed=5)
+
+
+@pytest.mark.parametrize("name", ("OPT",) + POLICY_NAMES)
+def test_replay_equals_live_run(name, trace, small_world_module):
     """The defining property: replay == run_policy on the same seed."""
-    live = run_policy(UcbPolicy(dim=4), small_world_module, horizon=60, run_seed=3)
-    replayed = replay_trace(UcbPolicy(dim=4), trace)
+    live = run_policy(
+        _fresh_policy(name, small_world_module),
+        small_world_module,
+        horizon=60,
+        run_seed=3,
+    )
+    replayed = replay_trace(_fresh_policy(name, small_world_module), trace)
     assert np.array_equal(live.rewards, replayed.rewards)
     assert np.array_equal(live.arranged, replayed.arranged)
 
@@ -67,6 +79,10 @@ def test_trace_round_trips_through_disk(trace, tmp_path):
     replayed = replay_trace(UcbPolicy(dim=4), loaded)
     original = replay_trace(UcbPolicy(dim=4), trace)
     assert np.array_equal(replayed.rewards, original.rewards)
+    # A trailing dot is not a suffix to keep: "run." saves as "run.npz".
+    dotted = trace.save(tmp_path / "dotted.")
+    assert dotted.name == "dotted.npz"
+    assert np.array_equal(Trace.load(dotted).contexts, trace.contexts)
 
 
 def test_trace_load_validation(tmp_path):

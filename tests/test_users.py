@@ -50,6 +50,27 @@ def test_roster_stream_cycles_in_order():
     assert ids == [0, 1, 2, 0, 1, 2, 0]
 
 
+def test_fixed_stream_state_round_trips():
+    stream = FixedUserStream(User(user_id=7, capacity=3))
+    stream.next_user()
+    state = stream.state_dict()
+    assert state == {}
+    resumed = FixedUserStream(User(user_id=7, capacity=3))
+    resumed.restore_state(state)
+    assert resumed.next_user() == stream.next_user()
+
+
+def test_roster_stream_state_round_trips():
+    roster = [User(user_id=i, capacity=1) for i in range(3)]
+    stream = RosterUserStream(roster)
+    for _ in range(4):
+        stream.next_user()
+    resumed = RosterUserStream(roster)
+    resumed.restore_state(stream.state_dict())
+    ids = [resumed.next_user().user_id for _ in range(4)]
+    assert ids == [stream.next_user().user_id for _ in range(4)] == [1, 2, 0, 1]
+
+
 def test_roster_stream_requires_users():
     with pytest.raises(ConfigurationError):
         RosterUserStream([])
